@@ -1151,6 +1151,11 @@ fn print_profile(batch_wall: std::time::Duration, pool_budget: usize) {
         );
     }
 
+    println!(
+        "stage 1: {} ideal circuit simulations (source.circuit_evals)",
+        counter("source.circuit_evals")
+    );
+
     let store_probes = counter("store.hits") + counter("store.misses");
     if store_probes > 0 {
         println!(

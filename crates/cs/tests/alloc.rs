@@ -15,11 +15,25 @@ use oscar_cs::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct CountingAlloc;
 
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocations made by the current thread. The audited work runs on
+    /// the test's own thread, and the test harness and other tests
+    /// allocate on theirs, so a window measured here sees only its own.
+    static THREAD_ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+    // `try_with`: a thread may allocate while its locals are torn down.
+    let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: pure delegation to `System`, which upholds the GlobalAlloc
 // contract; the counter bump is a Relaxed side effect with no bearing
@@ -27,13 +41,13 @@ static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout contract to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards the caller's pointer/layout contract to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -46,8 +60,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread (the single-worker
+/// audits run every kernel inline on it).
 fn alloc_count() -> usize {
-    ALLOC_CALLS.load(Ordering::Relaxed)
+    THREAD_ALLOC_CALLS.with(Cell::get)
 }
 
 /// A 64x64 problem with a handful of DCT spikes, sampled at 25%.
@@ -170,13 +186,15 @@ fn warmed_multiworker_parallel_apply_allocates_zero_words() {
     // itself allocating would show in *every* window.
     let min_during = (0..50)
         .map(|_| {
-            let before = alloc_count();
+            // Counted process-wide: the pool's workers allocate on their
+            // own threads.
+            let before = ALLOC_CALLS.load(Ordering::Relaxed);
             pool.for_each_chunk_mut(&mut v, 256, |_, chunk| {
                 for x in chunk.iter_mut() {
                     *x *= 1.0000001;
                 }
             });
-            alloc_count() - before
+            ALLOC_CALLS.load(Ordering::Relaxed) - before
         })
         .min()
         .unwrap();

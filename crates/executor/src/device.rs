@@ -255,11 +255,9 @@ impl QpuDevice {
     /// Executes with the noise amplified by `scale` (ZNE noise scaling via
     /// gate folding: the folded circuit has `scale`x the gates).
     pub fn execute_scaled(&self, betas: &[f64], gammas: &[f64], scale: f64) -> f64 {
-        let (ideal, var) = self.evaluator.moments(betas, gammas);
-        let mixed = self.evaluator.diagonal_mean();
-        let scaled = self.noise.scaled(scale);
+        let moments = self.evaluator.moments(betas, gammas);
         let mut rng = self.lock_rng();
-        scaled.noisy_expectation(ideal, var, mixed, self.counts, &mut *rng)
+        self.noisy_moments_with_rng(moments, scale, &mut *rng)
     }
 
     /// Executes with noise drawn from a caller-provided generator instead
@@ -305,7 +303,19 @@ impl QpuDevice {
         scale: f64,
         rng: &mut R,
     ) -> f64 {
-        let (ideal, var) = self.evaluator.moments(betas, gammas);
+        self.noisy_moments_with_rng(self.evaluator.moments(betas, gammas), scale, rng)
+    }
+
+    /// The noise half of an execution: this device's noise at scale
+    /// `scale` applied to already-simulated ideal `moments` (`(<C>,
+    /// Var[C])` from [`QaoaEvaluator::moments`]).
+    fn noisy_moments_with_rng<R: Rng + ?Sized>(
+        &self,
+        moments: (f64, f64),
+        scale: f64,
+        rng: &mut R,
+    ) -> f64 {
+        let (ideal, var) = moments;
         let mixed = self.evaluator.diagonal_mean();
         self.noise
             .scaled(scale)
@@ -325,7 +335,15 @@ impl QpuDevice {
         seed: u64,
         stream: u64,
     ) -> f64 {
-        self.execute_scaled_with_rng(betas, gammas, scale, &mut CounterRng::new(seed, stream))
+        self.noisy_moments_at(self.evaluator.moments(betas, gammas), scale, seed, stream)
+    }
+
+    /// [`Self::execute_scaled_at`] on already-simulated ideal `moments`
+    /// (from [`QaoaEvaluator::moments`]): bit-identical to it for the
+    /// moments of the same angles. Costs no simulation, so the moments
+    /// of one point can serve every ZNE scale.
+    pub fn noisy_moments_at(&self, moments: (f64, f64), scale: f64, seed: u64, stream: u64) -> f64 {
+        self.noisy_moments_with_rng(moments, scale, &mut CounterRng::new(seed, stream))
     }
 
     /// Executes and also samples the simulated job latency (queue +
@@ -422,7 +440,18 @@ impl VqeDevice {
         scale: f64,
         rng: &mut R,
     ) -> f64 {
-        let (ideal, var) = self.evaluator.moments(params);
+        self.noisy_moments_with_rng(self.evaluator.moments(params), scale, rng)
+    }
+
+    /// The noise half of an execution on already-simulated ideal
+    /// `moments` (from [`VqeEvaluator::moments`]).
+    fn noisy_moments_with_rng<R: Rng + ?Sized>(
+        &self,
+        moments: (f64, f64),
+        scale: f64,
+        rng: &mut R,
+    ) -> f64 {
+        let (ideal, var) = moments;
         self.noise
             .scaled(scale)
             .noisy_expectation(ideal, var, self.mixed, self.counts, rng)
@@ -440,7 +469,15 @@ impl VqeDevice {
     /// noise scale `scale`; bit-identical to `execute_at` at
     /// `scale = 1.0`.
     pub fn execute_scaled_at(&self, params: &[f64], scale: f64, seed: u64, stream: u64) -> f64 {
-        self.execute_scaled_with_rng(params, scale, &mut CounterRng::new(seed, stream))
+        self.noisy_moments_at(self.evaluator.moments(params), scale, seed, stream)
+    }
+
+    /// [`Self::execute_scaled_at`] on already-simulated ideal `moments`
+    /// (from [`VqeEvaluator::moments`]): bit-identical to it for the
+    /// moments of the same parameters — the VQE analogue of
+    /// [`QpuDevice::noisy_moments_at`].
+    pub fn noisy_moments_at(&self, moments: (f64, f64), scale: f64, seed: u64, stream: u64) -> f64 {
+        self.noisy_moments_with_rng(moments, scale, &mut CounterRng::new(seed, stream))
     }
 }
 

@@ -9,26 +9,36 @@
 use oscar_obs::span::{with_stage, Stage, Tracer};
 use oscar_obs::Registry;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The audited work runs on
+    /// the test's own thread, and the test harness and other tests
+    /// allocate on theirs, so a window measured here sees only its own.
+    static THREAD_ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: a thread may allocate while its locals are torn down.
+    let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
 
 // SAFETY: pure delegation to `System`, which upholds the GlobalAlloc
-// contract; the counter bump is a Relaxed side effect with no bearing
+// contract; the counter bump is a thread-local side effect with no bearing
 // on allocation soundness.
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwards the caller's layout contract to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards the caller's pointer/layout contract to `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -42,9 +52,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations(f: impl FnOnce()) -> usize {
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let count = || THREAD_ALLOC_CALLS.with(Cell::get);
+    let before = count();
     f();
-    ALLOC_CALLS.load(Ordering::Relaxed) - before
+    count() - before
 }
 
 /// Counter/gauge/histogram recording through resolved handles is

@@ -6,10 +6,23 @@
 //! structure: the phase operator `e^{-i γ C}` is a diagonal multiply using a
 //! precomputed cost diagonal, and the mixer `e^{-i β Σ X_q}` is `n`
 //! single-qubit RX butterflies. Per landscape point the cost is
-//! `O(p · n · 2^n)` with no allocation beyond one state vector.
+//! `O(p · n · 2^n)` with no allocation beyond one state vector and one
+//! phase table.
+//!
+//! The phase step costs one `sincos` per distinct cost *level*, not per
+//! amplitude: a cost diagonal takes few distinct values (the 1024
+//! entries of a 10-qubit 3-regular MaxCut diagonal are cut sizes of 15
+//! edges, so at most 16 values), so
+//! [`QaoaEvaluator::new`] tabulates the levels and each amplitude's
+//! level index once, and every layer evaluates `e^{-i γ d}` per level
+//! and multiplies each amplitude by its level's entry. The phases are
+//! the same `f64` computation on the same inputs as a per-amplitude
+//! `cis`, so results are bit-identical; when every level is distinct
+//! the table costs one extra indexed load per amplitude.
 
 use crate::complex::C64;
 use crate::state::{for_each_amp_indexed, MAX_QUBITS, PAR_MIN_AMPS};
+use std::collections::HashMap;
 
 /// Precomputed QAOA evaluator for a fixed diagonal cost function.
 ///
@@ -29,6 +42,11 @@ pub struct QaoaEvaluator {
     n: usize,
     diag: Vec<f64>,
     diag_mean: f64,
+    /// The distinct values of `diag` (by bit pattern), in order of
+    /// first appearance.
+    levels: Vec<f64>,
+    /// `levels[level_of[b]] == diag[b]` bit for bit.
+    level_of: Vec<u32>,
 }
 
 impl QaoaEvaluator {
@@ -42,7 +60,25 @@ impl QaoaEvaluator {
         assert!(n > 0 && n <= MAX_QUBITS, "qubit count out of range");
         assert_eq!(diag.len(), 1usize << n, "diagonal length mismatch");
         let diag_mean = diag.iter().sum::<f64>() / diag.len() as f64;
-        QaoaEvaluator { n, diag, diag_mean }
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut levels = Vec::new();
+        let level_of = diag
+            .iter()
+            .map(|&d| {
+                *index.entry(d.to_bits()).or_insert_with(|| {
+                    levels.push(d);
+                    // At most 2^MAX_QUBITS levels, well inside u32.
+                    (levels.len() - 1) as u32
+                })
+            })
+            .collect();
+        QaoaEvaluator {
+            n,
+            diag,
+            diag_mean,
+            levels,
+            level_of,
+        }
     }
 
     /// Number of qubits.
@@ -88,14 +124,7 @@ impl QaoaEvaluator {
     pub fn moments(&self, betas: &[f64], gammas: &[f64]) -> (f64, f64) {
         assert_eq!(betas.len(), gammas.len(), "beta/gamma length mismatch");
         assert!(!betas.is_empty(), "QAOA depth must be at least 1");
-        let dim = 1usize << self.n;
-        let mut amps = vec![C64::real(1.0 / (dim as f64).sqrt()); dim];
-
-        for (&beta, &gamma) in betas.iter().zip(gammas.iter()) {
-            apply_phase(&mut amps, &self.diag, gamma);
-            apply_mixer(&mut amps, self.n, beta);
-        }
-
+        let amps = self.final_state(betas, gammas);
         let mut e = 0.0;
         let mut e2 = 0.0;
         for (a, &d) in amps.iter().zip(self.diag.iter()) {
@@ -109,23 +138,32 @@ impl QaoaEvaluator {
     /// The final QAOA state's probability distribution (for sampling-based
     /// workflows and tests).
     pub fn probabilities(&self, betas: &[f64], gammas: &[f64]) -> Vec<f64> {
+        let amps = self.final_state(betas, gammas);
+        amps.iter().map(|a| a.norm_sqr()).collect()
+    }
+
+    /// The state after `p` QAOA layers on `|+>^n`.
+    fn final_state(&self, betas: &[f64], gammas: &[f64]) -> Vec<C64> {
         assert_eq!(betas.len(), gammas.len(), "beta/gamma length mismatch");
         let dim = 1usize << self.n;
         let mut amps = vec![C64::real(1.0 / (dim as f64).sqrt()); dim];
+        let mut phases = Vec::with_capacity(self.levels.len());
         for (&beta, &gamma) in betas.iter().zip(gammas.iter()) {
-            apply_phase(&mut amps, &self.diag, gamma);
+            phases.clear();
+            phases.extend(self.levels.iter().map(|&d| C64::cis(-gamma * d)));
+            apply_phase(&mut amps, &phases, &self.level_of);
             apply_mixer(&mut amps, self.n, beta);
         }
-        amps.iter().map(|a| a.norm_sqr()).collect()
+        amps
     }
 }
 
-/// Applies `amps[b] *= e^{-i γ diag[b]}` in place, chunked across
-/// workers for large registers.
+/// Applies `amps[b] *= phases[level_of[b]]` in place (the tabulated
+/// `e^{-i γ diag[b]}`), chunked across workers for large registers.
 #[inline]
-fn apply_phase(amps: &mut [C64], diag: &[f64], gamma: f64) {
+fn apply_phase(amps: &mut [C64], phases: &[C64], level_of: &[u32]) {
     for_each_amp_indexed(amps, |i, a| {
-        *a *= C64::cis(-gamma * diag[i]);
+        *a *= phases[level_of[i] as usize];
     });
 }
 
@@ -295,6 +333,131 @@ mod tests {
     #[should_panic(expected = "diagonal length mismatch")]
     fn rejects_bad_diagonal_length() {
         let _ = QaoaEvaluator::new(2, vec![0.0; 3]);
+    }
+
+    /// The phase step without the level table: one `cis` per
+    /// amplitude, then the same mixer and moment sums as
+    /// [`QaoaEvaluator::moments`].
+    fn moments_per_amplitude(n: usize, diag: &[f64], betas: &[f64], gammas: &[f64]) -> (f64, f64) {
+        let dim = 1usize << n;
+        let mut amps = vec![C64::real(1.0 / (dim as f64).sqrt()); dim];
+        for (&beta, &gamma) in betas.iter().zip(gammas) {
+            for (a, &d) in amps.iter_mut().zip(diag) {
+                *a *= C64::cis(-gamma * d);
+            }
+            apply_mixer(&mut amps, n, beta);
+        }
+        let mut e = 0.0;
+        let mut e2 = 0.0;
+        for (a, &d) in amps.iter().zip(diag) {
+            let p = a.norm_sqr();
+            e += p * d;
+            e2 += p * d * d;
+        }
+        (e, (e2 - e * e).max(0.0))
+    }
+
+    /// `Σ_{(i,j,w)} w z_i z_j + Σ_i h_i z_i` over every basis state.
+    fn ising_diag(n: usize, couplings: &[(usize, usize, f64)], fields: &[f64]) -> Vec<f64> {
+        let z = |b: usize, q: usize| if (b >> q) & 1 == 1 { -1.0 } else { 1.0 };
+        (0..1usize << n)
+            .map(|b| {
+                let pair: f64 = couplings
+                    .iter()
+                    .map(|&(i, j, w)| w * z(b, i) * z(b, j))
+                    .sum();
+                let field: f64 = fields.iter().enumerate().map(|(q, h)| h * z(b, q)).sum();
+                pair + field
+            })
+            .collect()
+    }
+
+    /// Unit-weight MaxCut on a ring with chords `(i, i + n/2)`.
+    fn maxcut_diag(n: usize) -> Vec<f64> {
+        let mut edges: Vec<(usize, usize)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
+        edges.extend((0..n / 2).map(|i| (i, i + n / 2)));
+        (0..1usize << n)
+            .map(|b| {
+                let cut = edges
+                    .iter()
+                    .filter(|&&(i, j)| ((b >> i) ^ (b >> j)) & 1 == 1);
+                -(cut.count() as f64)
+            })
+            .collect()
+    }
+
+    fn assert_table_matches_reference(n: usize, diag: Vec<f64>) {
+        let eval = QaoaEvaluator::new(n, diag.clone());
+        let angles: [(&[f64], &[f64]); 4] = [
+            (&[0.3], &[0.7]),
+            (&[-0.61], &[-1.3]),
+            (&[0.0], &[0.0]),
+            (&[0.2, -0.45], &[0.9, 0.35]),
+        ];
+        for (betas, gammas) in angles {
+            let (e, var) = eval.moments(betas, gammas);
+            let (e_ref, var_ref) = moments_per_amplitude(n, &diag, betas, gammas);
+            assert_eq!(e.to_bits(), e_ref.to_bits(), "n={n} {betas:?} {gammas:?}");
+            assert_eq!(
+                var.to_bits(),
+                var_ref.to_bits(),
+                "n={n} {betas:?} {gammas:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn level_table_is_bit_identical_on_unit_maxcut() {
+        let diag = maxcut_diag(10);
+        let eval = QaoaEvaluator::new(10, diag.clone());
+        // Cuts of a 15-edge graph: at most 16 levels for 1024 amplitudes.
+        assert!(eval.levels.len() <= 16, "{} levels", eval.levels.len());
+        assert_table_matches_reference(10, diag);
+    }
+
+    #[test]
+    fn level_table_is_bit_identical_on_sk() {
+        let n = 8;
+        let couplings: Vec<(usize, usize, f64)> = (0..n)
+            .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+            .map(|(i, j)| (i, j, if (i * 7 + j * 3) % 5 < 2 { -1.0 } else { 1.0 }))
+            .collect();
+        let diag = ising_diag(n, &couplings, &[]);
+        assert!(QaoaEvaluator::new(n, diag.clone()).levels.len() < 1 << n);
+        assert_table_matches_reference(n, diag);
+    }
+
+    #[test]
+    fn level_table_is_bit_identical_when_every_level_is_distinct() {
+        let n = 8;
+        let couplings: Vec<(usize, usize, f64)> = (0..n)
+            .map(|i| {
+                (
+                    i,
+                    (i + 1) % n,
+                    1.0 / (1.0 + i as f64 * std::f64::consts::SQRT_2),
+                )
+            })
+            .collect();
+        let fields: Vec<f64> = (0..n).map(|q| 0.1 * (1u32 << q) as f64 + 0.013).collect();
+        let diag = ising_diag(n, &couplings, &fields);
+        assert_eq!(QaoaEvaluator::new(n, diag.clone()).levels.len(), 1 << n);
+        assert_table_matches_reference(n, diag);
+    }
+
+    #[test]
+    fn level_table_is_bit_identical_on_the_parallel_path() {
+        // 2^15 amplitudes reach PAR_MIN_AMPS: the phase step splits
+        // across workers.
+        let n = 15;
+        let diag = maxcut_diag(n);
+        let eval = QaoaEvaluator::new(n, diag.clone());
+        let (e, var) = eval.moments(&[0.3], &[0.7]);
+        let (e_ref, var_ref) = moments_per_amplitude(n, &diag, &[0.3], &[0.7]);
+        assert_eq!(
+            (e.to_bits(), var.to_bits()),
+            (e_ref.to_bits(), var_ref.to_bits())
+        );
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! * [`Mitigation::Zne`] measures the landscape at every noise-scale
 //!   factor (each factor a full deterministic landscape with its own
 //!   derived noise seed, individually cached and shared across jobs)
-//!   and extrapolates pointwise to zero noise;
+//!   and extrapolates pointwise to zero noise. The factors that miss
+//!   the cache share one ideal simulation per point: only the analytic
+//!   noise model depends on the scale;
 //! * [`Mitigation::Readout`] inverts the analytic readout damping per
 //!   point using the device's calibrated rates;
 //! * [`Mitigation::Gaussian`] smooths the landscape with a
@@ -37,7 +39,7 @@
 //! landscape itself, shared with unmitigated jobs of the same seed.
 
 use crate::cache::{LandscapeCache, LandscapeKey};
-use crate::source::LandscapeSource;
+use crate::source::{LandscapeSource, MomentsCell};
 use oscar_core::grid::Shape;
 use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
 use oscar_core::usecases::mitigation::extrapolated_landscape;
@@ -282,6 +284,10 @@ fn apply_mitigation(
             extrapolator,
         } => {
             let zne = ZneConfig::new(factors.clone(), *extrapolator);
+            // The first factor that misses the cache runs the ideal
+            // pass; every later miss reuses its moments, so a cold job
+            // simulates each point once whatever the factor count.
+            let moments = MomentsCell::new();
             let subs: Vec<Arc<ShapedLandscape>> = zne
                 .scale_factors
                 .iter()
@@ -290,7 +296,13 @@ fn apply_mitigation(
                         LandscapeKey::zne_factor(problem, shape, source, landscape_seed, scale);
                     let gen = || {
                         with_stage(Stage::LandscapeGen, || {
-                            source.generate_scaled(problem, shape, landscape_seed, scale)
+                            source.generate_scaled_sharing(
+                                problem,
+                                shape,
+                                landscape_seed,
+                                scale,
+                                &moments,
+                            )
                         })
                     };
                     match cache {

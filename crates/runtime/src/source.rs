@@ -18,10 +18,13 @@
 
 use oscar_core::grid::Shape;
 use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
-use oscar_core::usecases::mitigation::{scaled_noisy_landscape, zne_factor_seed};
-use oscar_executor::device::{DeviceSpec, QpuDevice, VqeDevice};
+use oscar_core::usecases::mitigation::zne_factor_seed;
+use oscar_executor::device::DeviceSpec;
 use oscar_problems::workload::{ProblemInstance, VqeEvaluator};
 use oscar_qsim::fingerprint::{tag, Fingerprint};
+use oscar_qsim::qaoa::QaoaEvaluator;
+use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 /// How stage 1 evaluates the ground-truth landscape.
 #[derive(Clone, Debug, PartialEq, Default)]
@@ -131,8 +134,7 @@ impl LandscapeSource {
     /// # Panics
     ///
     /// Panics if the shape's rank differs from the problem's parameter
-    /// count, or a depth-`p` QAOA problem with `p > 1` (or a molecule)
-    /// is paired with a 2-D grid shape.
+    /// count (so only a depth-1 QAOA problem fits a 2-D grid).
     pub fn generate(
         &self,
         problem: &ProblemInstance,
@@ -149,6 +151,11 @@ impl LandscapeSource {
     /// `scale = 1.0` this is bit-identical to [`Self::generate`]; the
     /// exact source ignores the scale entirely.
     ///
+    /// A noisy landscape is two passes: one ideal statevector
+    /// simulation per point for its moments `(<C>, Var[C])`, then the
+    /// device's analytic noise model applied pointwise. Only the second
+    /// depends on `scale`.
+    ///
     /// # Panics
     ///
     /// See [`Self::generate`].
@@ -159,78 +166,133 @@ impl LandscapeSource {
         landscape_seed: u64,
         scale: f64,
     ) -> ShapedLandscape {
+        self.generate_scaled_sharing(problem, shape, landscape_seed, scale, &MomentsCell::new())
+    }
+
+    /// [`Self::generate_scaled`], taking the ideal moments from
+    /// `moments` and filling it on first use: every scale generated
+    /// through one cell simulates each point once. Bit-identical to
+    /// [`Self::generate_scaled`]. A cell must only ever serve one
+    /// `(problem, shape)`. The exact source leaves the cell untouched.
+    pub(crate) fn generate_scaled_sharing(
+        &self,
+        problem: &ProblemInstance,
+        shape: &Shape,
+        landscape_seed: u64,
+        scale: f64,
+        moments: &MomentsCell,
+    ) -> ShapedLandscape {
         assert_eq!(
             shape.rank(),
             problem.num_params(),
             "shape rank must match the problem's parameter count"
         );
-        match problem {
-            ProblemInstance::Ising { problem, depth } => match shape {
-                Shape::Grid2d(grid) => {
-                    assert_eq!(*depth, 1, "a 2-D grid is a depth-1 QAOA landscape");
-                    match self.effective_device() {
-                        None => Landscape::from_qaoa(*grid, &problem.qaoa_evaluator()).into(),
-                        Some(spec) => {
-                            // The internal-RNG seed is irrelevant: every
-                            // point draws from its own counter stream
-                            // keyed by the (derived) landscape seed and
-                            // the flat point index.
-                            let qpu = spec.build(problem, 0);
-                            scaled_noisy_landscape(&qpu, *grid, landscape_seed, scale).into()
-                        }
-                    }
-                }
-                Shape::Tensor(tensor) => {
-                    let p = *depth;
-                    match self.effective_device() {
-                        None => {
-                            let eval = problem.qaoa_evaluator();
-                            NdLandscape::generate_indexed_par(tensor.clone(), |_, params| {
-                                eval.expectation(&params[..p], &params[p..])
-                            })
-                            .into()
-                        }
-                        Some(spec) => {
-                            let qpu: QpuDevice = spec.with_depth(p).build(problem, 0);
-                            let seed = zne_factor_seed(landscape_seed, scale);
-                            NdLandscape::generate_indexed_par(tensor.clone(), |i, params| {
-                                qpu.execute_scaled_at(
-                                    &params[..p],
-                                    &params[p..],
-                                    scale,
-                                    seed,
-                                    i as u64,
-                                )
-                            })
-                            .into()
-                        }
-                    }
-                }
-            },
-            ProblemInstance::Molecule(molecule) => {
-                let Shape::Tensor(tensor) = shape else {
-                    // lint:allow(no-panic): molecule specs are only built with tensor shapes (default_vqe_shape / Shape::vqe_scan, enforced at the wire by proto validation); a grid-shaped molecule is a caller bug, and the evaluator would reject the parameter-count mismatch anyway.
-                    panic!("molecular VQE landscapes are tensor-shaped");
+        let Some(spec) = self.effective_device() else {
+            let ideal = Ideal::new(problem);
+            return landscape_from_values(shape, ideal_pass(shape, |x| ideal.expectation(x)));
+        };
+        let moments = moments.get_or_init(|| {
+            let ideal = Ideal::new(problem);
+            ideal_pass(shape, |x| ideal.moments(x))
+        });
+        // Every point draws its noise from its own counter stream keyed
+        // by the (derived) landscape seed and the flat point index, so
+        // the devices' internal-RNG seed is irrelevant.
+        let seed = zne_factor_seed(landscape_seed, scale);
+        let values: Vec<f64> = match problem {
+            ProblemInstance::Ising { problem, depth } => {
+                // A 2-D grid transpiles at the spec's own depth; a
+                // tensor at the problem's.
+                let spec = match shape {
+                    Shape::Grid2d(_) => spec,
+                    Shape::Tensor(_) => spec.with_depth(*depth),
                 };
-                match self.effective_device() {
-                    None => {
-                        let eval = VqeEvaluator::new(*molecule);
-                        NdLandscape::generate_indexed_par(tensor.clone(), |_, params| {
-                            eval.expectation(params)
-                        })
-                        .into()
-                    }
-                    Some(spec) => {
-                        let dev: VqeDevice = spec.build_vqe(*molecule);
-                        let seed = zne_factor_seed(landscape_seed, scale);
-                        NdLandscape::generate_indexed_par(tensor.clone(), |i, params| {
-                            dev.execute_scaled_at(params, scale, seed, i as u64)
-                        })
-                        .into()
-                    }
-                }
+                let qpu = spec.build(problem, 0);
+                noise_pass(moments, |m, i| qpu.noisy_moments_at(m, scale, seed, i))
             }
+            ProblemInstance::Molecule(molecule) => {
+                let dev = spec.build_vqe(*molecule);
+                noise_pass(moments, |m, i| dev.noisy_moments_at(m, scale, seed, i))
+            }
+        };
+        landscape_from_values(shape, values)
+    }
+}
+
+/// The ideal moments `(<C>, Var[C])` of every point of one `(problem,
+/// shape)`, row-major, computed on first use: the scale-independent
+/// half of a noisy landscape, shared by the ZNE factors of one job.
+pub(crate) type MomentsCell = OnceCell<Vec<(f64, f64)>>;
+
+/// `source.circuit_evals` in the obs registry: ideal circuit
+/// simulations run by stage 1, one per landscape point per ideal pass.
+fn circuit_evals() -> &'static oscar_obs::Counter {
+    static COUNTER: OnceLock<oscar_obs::Counter> = OnceLock::new();
+    COUNTER.get_or_init(|| oscar_obs::Registry::global().counter("source.circuit_evals"))
+}
+
+/// The noiseless simulator of a problem, over its flat parameter
+/// vector (`[betas.., gammas..]` for depth-`p` QAOA).
+enum Ideal {
+    Qaoa { eval: QaoaEvaluator, depth: usize },
+    Vqe(VqeEvaluator),
+}
+
+impl Ideal {
+    fn new(problem: &ProblemInstance) -> Self {
+        match problem {
+            ProblemInstance::Ising { problem, depth } => Ideal::Qaoa {
+                eval: problem.qaoa_evaluator(),
+                depth: *depth,
+            },
+            ProblemInstance::Molecule(molecule) => Ideal::Vqe(VqeEvaluator::new(*molecule)),
         }
+    }
+
+    fn expectation(&self, x: &[f64]) -> f64 {
+        match self {
+            Ideal::Qaoa { eval, depth } => eval.expectation(&x[..*depth], &x[*depth..]),
+            Ideal::Vqe(eval) => eval.expectation(x),
+        }
+    }
+
+    fn moments(&self, x: &[f64]) -> (f64, f64) {
+        match self {
+            Ideal::Qaoa { eval, depth } => eval.moments(&x[..*depth], &x[*depth..]),
+            Ideal::Vqe(eval) => eval.moments(x),
+        }
+    }
+}
+
+/// `f` at every point of `shape`, row-major, data-parallel on the
+/// worker pool in last-axis-aligned chunks, counted in
+/// `source.circuit_evals`.
+fn ideal_pass<T: Copy + Default + Send>(shape: &Shape, f: impl Fn(&[f64]) -> T + Sync) -> Vec<T> {
+    let granule = shape.dims().last().copied().unwrap_or(1);
+    let mut out = vec![T::default(); shape.len()];
+    oscar_par::for_each_chunk_mut(&mut out, granule, |offset, chunk| {
+        for (k, v) in chunk.iter_mut().enumerate() {
+            *v = f(&shape.point(offset + k));
+        }
+    });
+    circuit_evals().add(shape.len() as u64);
+    out
+}
+
+/// `noise(moments[i], i)` at every point: the cheap, scale-dependent
+/// half of a noisy landscape.
+fn noise_pass(moments: &[(f64, f64)], noise: impl Fn((f64, f64), u64) -> f64) -> Vec<f64> {
+    moments
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| noise(m, i as u64))
+        .collect()
+}
+
+fn landscape_from_values(shape: &Shape, values: Vec<f64>) -> ShapedLandscape {
+    match shape {
+        Shape::Grid2d(grid) => Landscape::from_values(*grid, values).into(),
+        Shape::Tensor(tensor) => NdLandscape::from_values(tensor.clone(), values).into(),
     }
 }
 

@@ -164,15 +164,24 @@ impl JobEntry {
         if self.settled.load(Ordering::Acquire) {
             return;
         }
-        let poll = {
-            let handle = lock(&self.handle);
-            handle.wait_timeout(Duration::ZERO)
-        };
-        match poll {
+        self.poll_and_settle(state, Duration::ZERO);
+    }
+
+    /// Waits up to `timeout` for the handle to resolve and settles what
+    /// it yields, both under the handle lock (lock order: handle, then
+    /// outcome). Taking a result out of the handle leaves it
+    /// disconnected; a concurrent poller that saw that before the
+    /// result was settled would settle the job as lost, so no other
+    /// poller may look between the take and the settle. Returns `false`
+    /// on a timeout.
+    fn poll_and_settle(&self, state: &ServerState, timeout: Duration) -> bool {
+        let handle = lock(&self.handle);
+        match handle.wait_timeout(timeout) {
             Ok(Some(result)) => self.settle(state, Outcome::Done(Box::new(result))),
-            Ok(None) => {}
+            Ok(None) => return false,
             Err(lost) => self.settle(state, Outcome::from_lost(&lost)),
         }
+        true
     }
 
     /// The wire status string.
@@ -430,23 +439,13 @@ impl ServerState {
             // Short chunks so the handle mutex is released often
             // (cancels interleave) and shutdown is noticed promptly.
             let chunk = remaining.min(self.config.tick * 2);
-            let poll = {
-                let handle = lock(&entry.handle);
-                handle.wait_timeout(chunk)
-            };
-            match poll {
-                Ok(Some(result)) => entry.settle(self, Outcome::Done(Box::new(result))),
-                Err(lost) => entry.settle(self, Outcome::from_lost(&lost)),
-                Ok(None) => {
-                    if remaining.is_zero() {
-                        return Json::Obj(vec![
-                            ("ok".to_string(), Json::Bool(true)),
-                            ("job".to_string(), Json::Num(id as f64)),
-                            ("status".to_string(), Json::Str(entry.status_str().into())),
-                            ("timed_out".to_string(), Json::Bool(true)),
-                        ]);
-                    }
-                }
+            if !entry.poll_and_settle(self, chunk) && remaining.is_zero() {
+                return Json::Obj(vec![
+                    ("ok".to_string(), Json::Bool(true)),
+                    ("job".to_string(), Json::Num(id as f64)),
+                    ("status".to_string(), Json::Str(entry.status_str().into())),
+                    ("timed_out".to_string(), Json::Bool(true)),
+                ]);
             }
         }
     }
