@@ -17,6 +17,13 @@
 //! so the solver hot loop ([`crate::fista`]) runs with zero heap
 //! allocation in steady state, and the 2-D passes run data-parallel
 //! across rows (via `oscar-par`) on grids large enough to pay for it.
+//!
+//! [`DctNd`] applies each dense axis as one strided batched pass over
+//! the whole tensor rather than one 1-D call per line: the short axes of
+//! the N-D workloads (LiH's 3⁸, H2's 10³) would otherwise spend most of
+//! a transform in per-line call overhead. The pass performs the dense
+//! kernel's arithmetic in the dense kernel's order, so its output is
+//! bit-identical to transforming line by line.
 
 use crate::fft::{DctPlan, FftScratch, FftStrategy};
 use std::sync::Arc;
@@ -661,18 +668,50 @@ fn transpose(src: &[f64], dst: &mut [f64], rows: usize, cols: usize) {
     }
 }
 
-/// Apply-time scratch for a [`DctNd`].
+/// Apply-time scratch for a [`DctNd`]: one inner-axis tile for the dense
+/// axes plus line buffers and 1-D scratch for the FFT axes.
 #[derive(Clone, Debug)]
 pub struct DctNdScratch {
+    tile: Vec<f64>,
     line_in: Vec<f64>,
     line_out: Vec<f64>,
     axis: Vec<Dct1dScratch>,
 }
 
+/// Widest run of the inner (faster-varying) axes a dense-axis pass
+/// works on at once; its tile holds at most `len * DENSE_TILE` values.
+const DENSE_TILE: usize = 128;
+
+/// Columns a dense-axis pass accumulates at once, in registers. Axes
+/// whose inner run is shorter go line by line.
+const LANES: usize = 8;
+
 /// A separable N-dimensional orthonormal DCT over a row-major tensor of
 /// the given shape (last axis contiguous) — the transform behind
-/// reshaped p >= 2 QAOA landscapes when they are treated natively
+/// reshaped p >= 2 QAOA landscapes and the VQE scans, treated natively
 /// instead of flattened to 2-D.
+///
+/// Axes are transformed last to first. With the tensor viewed as
+/// `[outer][len][inner]` around axis `a`:
+///
+/// * a dense axis (`len < FAST_DCT_THRESHOLD`, which covers every
+///   production tensor side) is one strided batched pass: each output
+///   row `k` accumulates `Σ_j M[k][j]·x[j][·]` over contiguous `inner`
+///   runs, a tile of at most `DENSE_TILE` columns at a time, so the
+///   loops vectorize and no per-line call is made. When `inner` is
+///   shorter than a register block (the contiguous last axis among
+///   them) the pass walks the short lines one by one instead.
+/// * an FFT axis gathers each line, transforms it with [`Dct1d`] and
+///   scatters it back.
+///
+/// The dense pass is bit-identical to transforming every line with
+/// [`Dct1d`]'s dense kernel: per output element it performs the same
+/// products and adds them in the same `j` order from the same start
+/// value (`Iterator::sum`'s for the forward, `+0.0` for the inverse).
+/// The inverse does not skip zero coefficients as the 1-D kernel does,
+/// which changes no bit: an accumulator starting at `+0.0` never becomes
+/// `-0.0` by addition, so adding the `±0` product of a zero coefficient
+/// and a finite weight leaves it unchanged.
 ///
 /// # Examples
 ///
@@ -732,10 +771,19 @@ impl DctNd {
 
     /// Allocates reusable apply-time scratch.
     pub fn make_scratch(&self) -> DctNdScratch {
-        let max_side = self.shape.iter().copied().max().unwrap_or(1);
+        let (mut tile, mut fft_side, mut inner) = (0, 0, 1);
+        for (t, &len) in self.axes.iter().zip(&self.shape).rev() {
+            if t.is_fast() {
+                fft_side = fft_side.max(len);
+            } else {
+                tile = tile.max(len * inner.min(DENSE_TILE));
+            }
+            inner *= len;
+        }
         DctNdScratch {
-            line_in: vec![0.0; max_side],
-            line_out: vec![0.0; max_side],
+            tile: vec![0.0; tile],
+            line_in: vec![0.0; fft_side],
+            line_out: vec![0.0; fft_side],
             axis: self.axes.iter().map(|t| t.make_scratch()).collect(),
         }
     }
@@ -779,36 +827,128 @@ impl DctNd {
         self.apply_in_place(out, scratch, false);
     }
 
-    /// Transforms each axis in turn: axis `a` is visited as
-    /// `(outer, len, inner)` strides; each 1-D line is gathered,
-    /// transformed, and scattered back.
+    /// Transforms each axis in turn, last to first, viewing the tensor
+    /// as `[outer][len][inner]` around it: dense axes in one strided
+    /// batched pass ([`dense_axis_pass`]), FFT axes line by line.
     fn apply_in_place(&self, data: &mut [f64], scratch: &mut DctNdScratch, forward: bool) {
         assert_eq!(data.len(), self.len(), "tensor size mismatch");
         let mut inner = 1usize;
         for (a, t) in self.axes.iter().enumerate().rev() {
             let len = self.shape[a];
-            let outer = data.len() / (len * inner);
-            let line_in = &mut scratch.line_in[..len];
-            let line_out = &mut scratch.line_out[..len];
-            let scr = &mut scratch.axis[a];
-            for o in 0..outer {
-                let base = o * len * inner;
-                for i in 0..inner {
-                    for (k, v) in line_in.iter_mut().enumerate() {
-                        *v = data[base + k * inner + i];
-                    }
-                    if forward {
-                        t.forward_into_with(line_in, line_out, scr);
-                    } else {
-                        t.inverse_into_with(line_in, line_out, scr);
-                    }
-                    for (k, v) in line_out.iter().enumerate() {
-                        data[base + k * inner + i] = *v;
+            match &t.kernel {
+                Kernel::Dense(mat) => {
+                    dense_axis_pass(mat, len, inner, data, &mut scratch.tile, forward);
+                }
+                Kernel::Fast(_) => {
+                    let outer = data.len() / (len * inner);
+                    let line_in = &mut scratch.line_in[..len];
+                    let line_out = &mut scratch.line_out[..len];
+                    let scr = &mut scratch.axis[a];
+                    for o in 0..outer {
+                        let base = o * len * inner;
+                        for i in 0..inner {
+                            for (k, v) in line_in.iter_mut().enumerate() {
+                                *v = data[base + k * inner + i];
+                            }
+                            if forward {
+                                t.forward_into_with(line_in, line_out, scr);
+                            } else {
+                                t.inverse_into_with(line_in, line_out, scr);
+                            }
+                            for (k, v) in line_out.iter().enumerate() {
+                                data[base + k * inner + i] = *v;
+                            }
+                        }
                     }
                 }
             }
             inner *= len;
         }
+    }
+}
+
+/// Applies the dense `len x len` DCT matrix `mat` (forward) or its
+/// transpose (inverse) along the middle axis of `data` viewed as
+/// `[outer][len][inner]`, in place. `tile` must hold
+/// `len * min(inner, DENSE_TILE)` values.
+///
+/// Output element `(r, ·)` is `init + Σ_q w(r, q)·x[q][·]` summed in `q`
+/// order, with `init` the start value of `Iterator::sum` for the forward
+/// (the dense 1-D kernel's fold) and `+0.0` for the inverse — see
+/// [`DctNd`] for why that reproduces the per-line kernel bit for bit.
+fn dense_axis_pass(
+    mat: &[f64],
+    len: usize,
+    inner: usize,
+    data: &mut [f64],
+    tile: &mut [f64],
+    forward: bool,
+) {
+    let init = if forward {
+        std::iter::empty::<f64>().sum::<f64>()
+    } else {
+        0.0
+    };
+    // w(r, q) = mat[r * row_stride + q * col_stride].
+    let (row_stride, col_stride) = if forward { (len, 1) } else { (1, len) };
+    if inner < LANES {
+        // Short lines (the contiguous last axis among them): gather,
+        // transform and store back one line at a time.
+        let line = &mut tile[..len];
+        for block in data.chunks_exact_mut(len * inner) {
+            for i in 0..inner {
+                for (q, v) in line.iter_mut().enumerate() {
+                    *v = block[q * inner + i];
+                }
+                for r in 0..len {
+                    let mut acc = init;
+                    for (q, &v) in line.iter().enumerate() {
+                        acc += mat[r * row_stride + q * col_stride] * v;
+                    }
+                    block[r * inner + i] = acc;
+                }
+            }
+        }
+        return;
+    }
+    // Split `inner` into near-equal tiles, each at least `LANES` wide.
+    let tiles = inner.div_ceil(DENSE_TILE);
+    for block in data.chunks_exact_mut(len * inner) {
+        for t in 0..tiles {
+            let (i0, i1) = (inner * t / tiles, inner * (t + 1) / tiles);
+            let w = i1 - i0;
+            let tile = &mut tile[..len * w];
+            for (q, src) in tile.chunks_exact_mut(w).enumerate() {
+                src.copy_from_slice(&block[q * inner + i0..][..w]);
+            }
+            for r in 0..len {
+                let out = &mut block[r * inner + i0..][..w];
+                combine_rows(tile, &mat[r * row_stride..], col_stride, init, out);
+            }
+        }
+    }
+}
+
+/// `out[i] = init + Σ_q weights[q * stride]·rows[q][i]` for the
+/// row-major `rows` (`out.len()` columns, at least [`LANES`]), summed in
+/// `q` order with `LANES` accumulators held in registers. A final partial
+/// chunk is realigned to end at the last column; the columns it repeats
+/// are recomputed from the same inputs, so they get the same values.
+fn combine_rows(rows: &[f64], weights: &[f64], stride: usize, init: f64, out: &mut [f64]) {
+    let w = out.len();
+    debug_assert!(w >= LANES && rows.len().is_multiple_of(w));
+    let mut i = 0;
+    while i < w {
+        let start = i.min(w - LANES);
+        let mut acc = [init; LANES];
+        for (q, row) in rows.chunks_exact(w).enumerate() {
+            let m = weights[q * stride];
+            for (a, &v) in acc.iter_mut().zip(&row[start..start + LANES]) {
+                *a += m * v;
+            }
+        }
+        out[start..start + LANES].copy_from_slice(&acc);
+        i += LANES;
     }
 }
 
@@ -994,14 +1134,18 @@ mod tests {
 
     #[test]
     fn nd_matches_2d_on_matrices() {
-        let (rows, cols) = (6, 10);
-        let d2 = Dct2d::new(rows, cols);
-        let dn = DctNd::new(&[rows, cols]);
-        let x: Vec<f64> = (0..60).map(|i| (i as f64 * 0.37).sin()).collect();
-        let a = d2.forward(&x);
-        let b = dn.forward(&x);
-        for (u, v) in a.iter().zip(&b) {
-            assert!((u - v).abs() < 1e-10);
+        // All-dense matrices match bit for bit (pinned in tests/prop.rs);
+        // with an FFT side, `Dct2d` pair-packs lines and `DctNd` does
+        // not, so the two agree to rounding only.
+        for (rows, cols) in [(6, 10), (40, 50), (5, 64)] {
+            let d2 = Dct2d::new(rows, cols);
+            let dn = DctNd::new(&[rows, cols]);
+            let x: Vec<f64> = (0..rows * cols).map(|i| (i as f64 * 0.37).sin()).collect();
+            let a = d2.forward(&x);
+            let b = dn.forward(&x);
+            for (u, v) in a.iter().zip(&b) {
+                assert!((u - v).abs() < 1e-10, "{rows}x{cols}");
+            }
         }
     }
 

@@ -7,10 +7,12 @@
 //! allocate only the result it returns, independent of iteration count
 //! and grid size.
 
-use oscar_cs::dct::Dct2d;
+use oscar_cs::dct::{Dct2d, DctNd};
 use oscar_cs::fista::{fista_with, FistaConfig};
 use oscar_cs::ista::ista_with;
-use oscar_cs::measure::{MeasurementOperator, SamplePattern};
+use oscar_cs::measure::{
+    MeasurementOperator, MeasurementOperatorNd, NdSamplePattern, SamplePattern,
+};
 use oscar_cs::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -159,6 +161,50 @@ fn warmed_fista_solve_on_mixed_radix_grid_is_allocation_free() {
         during <= 4,
         "steady-state mixed-radix FISTA made {during} allocations"
     );
+}
+
+#[test]
+fn warmed_nd_fista_solve_on_rank8_tensor_is_allocation_free() {
+    // The LiH scan's 3^8 tensor: every axis takes the strided dense
+    // pass, whose tile lives in the operator scratch.
+    std::env::set_var("OSCAR_THREADS", "1");
+    assert_eq!(oscar_par::max_threads(), 1);
+
+    let dims = [3usize; 8];
+    let dct = DctNd::new(&dims);
+    let mut coeffs = vec![0.0; dct.len()];
+    for (i, v) in [
+        (0usize, 4.0),
+        (1, -1.5),
+        (30, 0.9),
+        (2200, 0.6),
+        (6000, -0.3),
+    ] {
+        coeffs[i] = v;
+    }
+    let full = dct.inverse(&coeffs);
+    let mut rng = StdRng::seed_from_u64(44);
+    let pattern = NdSamplePattern::random(&dims, 0.25, &mut rng);
+    let y = pattern.gather(&full);
+    let op = MeasurementOperatorNd::new(&dct, &pattern);
+    let cfg = FistaConfig {
+        max_iter: 40,
+        tol: 0.0,
+        debias_iters: 10,
+        ..FistaConfig::default()
+    };
+
+    let mut ws = Workspace::for_operator(&op);
+    let warm = fista_with(&op, &y, &cfg, &mut ws);
+
+    let before = alloc_count();
+    let result = fista_with(&op, &y, &cfg, &mut ws);
+    let during = alloc_count() - before;
+    assert!(
+        during <= 4,
+        "steady-state rank-8 FISTA made {during} allocations; hot loop must make none"
+    );
+    assert_eq!(result.iterations, warm.iterations);
 }
 
 #[test]

@@ -267,3 +267,130 @@ mod fft_vs_dense {
         }
     }
 }
+
+/// The N-D transform's dense axes run as strided batched passes; these
+/// tests pin them bit for bit to the straightforward algorithm — gather
+/// every line, transform it with [`Dct1d`], scatter it back — and
+/// rank-2 tensors to [`Dct2d`].
+mod dctnd_bit_identity {
+    use oscar_cs::dct::{Dct1d, Dct2d, DctNd};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Per-line reference: axes last to first, each line gathered,
+    /// transformed with the 1-D kernel of its length, and scattered back.
+    fn per_line_reference(shape: &[usize], x: &[f64], forward: bool) -> Vec<f64> {
+        let mut data = x.to_vec();
+        let mut inner = 1;
+        for &len in shape.iter().rev() {
+            let t = Dct1d::new(len);
+            let mut scratch = t.make_scratch();
+            let (mut line_in, mut line_out) = (vec![0.0; len], vec![0.0; len]);
+            for block in data.chunks_exact_mut(len * inner) {
+                for i in 0..inner {
+                    for (k, v) in line_in.iter_mut().enumerate() {
+                        *v = block[k * inner + i];
+                    }
+                    if forward {
+                        t.forward_into_with(&line_in, &mut line_out, &mut scratch);
+                    } else {
+                        t.inverse_into_with(&line_in, &mut line_out, &mut scratch);
+                    }
+                    for (k, v) in line_out.iter().enumerate() {
+                        block[k * inner + i] = *v;
+                    }
+                }
+            }
+            inner *= len;
+        }
+        data
+    }
+
+    /// Random values salted with exact zeros, negative zeros and
+    /// subnormals of both signs.
+    fn awkward_signal(n: usize, rng: &mut StdRng) -> Vec<f64> {
+        (0..n)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f64::MIN_POSITIVE * rng.gen_range(-0.9..0.9),
+                _ => rng.gen_range(-2.0..2.0),
+            })
+            .collect()
+    }
+
+    /// A coefficient tensor as FISTA feeds the inverse: mostly zeros of
+    /// both signs, a few spikes, a few subnormals.
+    fn sparse_signal(n: usize, rng: &mut StdRng) -> Vec<f64> {
+        (0..n)
+            .map(|i| match rng.gen_range(0..20) {
+                0 => rng.gen_range(-3.0..3.0),
+                1 => f64::MIN_POSITIVE * rng.gen_range(-0.5..0.5),
+                _ if i % 2 == 0 => 0.0,
+                _ => -0.0,
+            })
+            .collect()
+    }
+
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{what}: element {i} is {g:e}, reference {w:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn dense_axis_passes_match_per_line_reference_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(107);
+        for shape in [
+            vec![3usize; 8],
+            vec![3, 4, 5],
+            vec![2, 3, 5, 7],
+            vec![5, 40, 3],
+            vec![31, 2],
+            vec![10, 10, 10],
+            vec![7, 13, 11],
+            vec![6],
+        ] {
+            let dct = DctNd::new(&shape);
+            let mut scratch = dct.make_scratch();
+            let n = dct.len();
+            let mut out = vec![0.0; n];
+            let inputs = [
+                awkward_signal(n, &mut rng),
+                sparse_signal(n, &mut rng),
+                vec![-0.0; n],
+                vec![0.0; n],
+            ];
+            for x in &inputs {
+                dct.forward_into(x, &mut out, &mut scratch);
+                let want = per_line_reference(&shape, x, true);
+                assert_same_bits(&out, &want, &format!("forward {shape:?}"));
+                dct.inverse_into(x, &mut out, &mut scratch);
+                let want = per_line_reference(&shape, x, false);
+                assert_same_bits(&out, &want, &format!("inverse {shape:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn rank2_dense_tensor_matches_dct2d_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(108);
+        for (rows, cols) in [(6usize, 10usize), (10, 12), (16, 20), (31, 31)] {
+            let d2 = Dct2d::new(rows, cols);
+            let dn = DctNd::new(&[rows, cols]);
+            for x in [
+                awkward_signal(rows * cols, &mut rng),
+                sparse_signal(rows * cols, &mut rng),
+            ] {
+                let what = format!("{rows}x{cols}");
+                assert_same_bits(&dn.forward(&x), &d2.forward(&x), &format!("forward {what}"));
+                assert_same_bits(&dn.inverse(&x), &d2.inverse(&x), &format!("inverse {what}"));
+            }
+        }
+    }
+}

@@ -65,15 +65,17 @@ fn wait_timeout_elapses_then_result_arrives() {
 #[test]
 fn wait_timeout_surfaces_executor_death() {
     let runtime = BatchRuntime::with_concurrency(1);
-    let _blocker = runtime.submit(blocker_spec(32));
+    // A 12-qubit 40x40 blocker: it must still be running when the drop
+    // below lands, or the executor would go on to run `doomed`.
+    let mut rng = StdRng::seed_from_u64(32);
+    let problem = IsingProblem::random_3_regular(12, &mut rng);
+    let _blocker = runtime.submit(JobSpec::new(problem, Grid2d::small_p1(40, 40), 0.2, 0));
+    wait_until_busy(&runtime);
     let doomed = runtime.submit(quick_spec(33, 1));
     // Drop the runtime from another thread while this one blocks in
     // wait_timeout: the abandoned queue entry's channel closes and the
     // wait must resolve to Err(JobLost) long before the timeout.
-    let dropper = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(30));
-        drop(runtime);
-    });
+    let dropper = std::thread::spawn(move || drop(runtime));
     let err = match doomed.wait_timeout(Duration::from_secs(120)) {
         Err(err) => err,
         other => panic!("expected JobLost after runtime drop, got {other:?}"),

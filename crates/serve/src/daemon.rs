@@ -221,7 +221,10 @@ pub struct ServerState {
     latency_us: Histogram,
     draining: AtomicBool,
     shutdown: AtomicBool,
-    connections: AtomicU64,
+    /// Connections being served right now.
+    connections_open: AtomicU64,
+    /// Connections accepted over the daemon's lifetime.
+    connections_total: AtomicU64,
     rejected_overload: AtomicU64,
     rejected_quota: AtomicU64,
     rejected_draining: AtomicU64,
@@ -252,7 +255,8 @@ impl ServerState {
             latency_us: Histogram::new(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            connections: AtomicU64::new(0),
+            connections_open: AtomicU64::new(0),
+            connections_total: AtomicU64::new(0),
             rejected_overload: AtomicU64::new(0),
             rejected_quota: AtomicU64::new(0),
             rejected_draining: AtomicU64::new(0),
@@ -515,8 +519,12 @@ impl ServerState {
                 Json::Num(self.config.per_client_quota as f64),
             ),
             (
-                "connections".to_string(),
-                Json::Num(self.connections.load(Ordering::Relaxed) as f64),
+                "connections_open".to_string(),
+                Json::Num(self.connections_open.load(Ordering::Relaxed) as f64),
+            ),
+            (
+                "connections_total".to_string(),
+                Json::Num(self.connections_total.load(Ordering::Relaxed) as f64),
             ),
             (
                 "rejected_overload".to_string(),
@@ -561,8 +569,12 @@ impl ServerState {
                 metric_value_to_json(&MetricValue::Histogram(self.latency_us.snapshot())),
             ),
             (
-                "connections".to_string(),
-                Json::Num(self.connections.load(Ordering::Relaxed) as f64),
+                "connections_open".to_string(),
+                Json::Num(self.connections_open.load(Ordering::Relaxed) as f64),
+            ),
+            (
+                "connections_total".to_string(),
+                Json::Num(self.connections_total.load(Ordering::Relaxed) as f64),
             ),
             (
                 "rejected_overload".to_string(),
@@ -841,7 +853,8 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
     if conn.set_read_timeout(state.config.tick).is_err() {
         return;
     }
-    state.connections.fetch_add(1, Ordering::Relaxed);
+    state.connections_total.fetch_add(1, Ordering::Relaxed);
+    state.connections_open.fetch_add(1, Ordering::Relaxed);
     let client = Arc::new(ClientSlot::default());
     let mut submitted: Vec<u64> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
@@ -920,7 +933,7 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
             }
         }
     }
-    state.connections.fetch_sub(1, Ordering::Relaxed);
+    state.connections_open.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// The wire bytes of a `line-too-long` reply (newline included).

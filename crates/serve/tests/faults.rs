@@ -25,9 +25,10 @@ fn quick(seed: u64) -> SubmitReq {
     SubmitReq::new(4, seed, 8, 10, 0.3)
 }
 
-/// A job that keeps one executor busy for hundreds of milliseconds.
+/// A job that keeps one executor busy for well over the 30 ms deadline
+/// the expiry test sets (about 0.14 s in a release build on 2 vCPUs).
 fn blocker() -> SubmitReq {
-    SubmitReq::new(10, 0, 30, 30, 0.2)
+    SubmitReq::new(12, 0, 40, 40, 0.2)
 }
 
 fn tight_config() -> ServeConfig {
@@ -529,5 +530,46 @@ fn registry_eviction_bounds_memory_and_forgets_oldest_settled() {
     poll_until("registry eviction", || {
         status_of(&mut client, first) == "unknown-job"
     });
+    drop(daemon);
+}
+
+#[test]
+fn connection_stats_count_open_and_lifetime_connections() {
+    let path = sock("connstats");
+    let daemon = spawn_unix(&path, tight_config()).expect("spawn");
+    let counts = |client: &mut Client| {
+        let stats = client.stats().expect("stats");
+        let field = |name: &str| stats.get(name).and_then(Json::as_u64).expect(name);
+        (field("connections_open"), field("connections_total"))
+    };
+    let mut observer = Client::connect_unix(&path).expect("connect observer");
+    observer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let (open0, total0) = counts(&mut observer);
+
+    // Two short-lived clients, each served (a reply proves the daemon
+    // accepted it) and then closed.
+    let mut clients: Vec<Client> = (0..2)
+        .map(|_| Client::connect_unix(&path).expect("connect"))
+        .collect();
+    for client in &mut clients {
+        assert!(is_ok(&client.stats().expect("stats")));
+    }
+    assert_eq!(counts(&mut observer), (open0 + 2, total0 + 2));
+    drop(clients);
+
+    // The daemon notices a close on its next read; the open count
+    // returns to its baseline while the lifetime count keeps both.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let (open, total) = counts(&mut observer);
+        assert_eq!(total - total0, 2, "lifetime count must not drop on close");
+        if open == open0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "open count stuck at {open}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     drop(daemon);
 }
