@@ -60,19 +60,11 @@ fn bench_speedup(c: &mut Criterion) {
     );
 }
 
-/// The fast-transform acceptance benchmark: end-to-end
-/// `Reconstructor::reconstruct` on a 64x64 grid, FFT-kernel default vs
-/// the dense O(n²) baseline (`force_dense_dct`). Identical solver
-/// config, pattern, and samples — only the transform kernel differs.
-/// Prints the measured ratio explicitly. Measured on the reference
-/// 1-core container: ~3.3x here at 64x64 (the dense kernel's
-/// zero-coefficient skip benefits from FISTA's sparse iterates, capping
-/// the gap at this small size) and >= 5x from 128x128 upward — 6.6x at
-/// 128x128, 13x at 256x256; see `src/bin/perf_scaling.rs` and the
-/// README's performance notes.
-fn bench_dense_vs_fft_64(c: &mut Criterion) {
+/// End-to-end `Reconstructor::reconstruct` on a 64x64 grid (the
+/// size-based default transform). The dense-vs-FFT comparison lives at
+/// kernel level in `cs_kernels`.
+fn bench_reconstruct_64(c: &mut Criterion) {
     use oscar_cs::measure::SamplePattern;
-    use std::time::Instant;
 
     let grid = Grid2d::small_p1(64, 64);
     let mut rng = StdRng::seed_from_u64(7);
@@ -80,43 +72,15 @@ fn bench_dense_vs_fft_64(c: &mut Criterion) {
     let truth = Landscape::from_qaoa(grid, &problem.qaoa_evaluator());
     let pattern = SamplePattern::random(64, 64, 0.12, &mut rng);
     let samples = pattern.gather(truth.values());
-
-    let fast = Reconstructor::default();
-    let dense = Reconstructor {
-        force_dense_dct: true,
-        ..Reconstructor::default()
-    };
+    let oscar = Reconstructor::default();
 
     let mut group = c.benchmark_group("reconstruct_64x64");
     group.sample_size(10);
     group.bench_function("fft_default", |b| {
-        b.iter(|| fast.reconstruct(&grid, &pattern, &samples).1)
-    });
-    group.bench_function("dense_baseline", |b| {
-        b.iter(|| dense.reconstruct(&grid, &pattern, &samples).1)
+        b.iter(|| oscar.reconstruct(&grid, &pattern, &samples).1)
     });
     group.finish();
-
-    // Explicit ratio over a few repetitions, for the README record and
-    // the >= 5x acceptance check.
-    let time_of = |r: &Reconstructor| {
-        let reps = 3;
-        let start = Instant::now();
-        for _ in 0..reps {
-            let _ = r.reconstruct(&grid, &pattern, &samples);
-        }
-        start.elapsed().as_secs_f64() / reps as f64
-    };
-    let _warm = fast.reconstruct(&grid, &pattern, &samples);
-    let t_fast = time_of(&fast);
-    let t_dense = time_of(&dense);
-    println!(
-        "\n[speedup] 64x64 reconstruct: dense {:.1} ms, fft {:.1} ms -> {:.1}x\n",
-        t_dense * 1e3,
-        t_fast * 1e3,
-        t_dense / t_fast
-    );
 }
 
-criterion_group!(benches, bench_speedup, bench_dense_vs_fft_64);
+criterion_group!(benches, bench_speedup, bench_reconstruct_64);
 criterion_main!(benches);

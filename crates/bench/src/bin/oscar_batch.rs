@@ -20,15 +20,21 @@
 //! kind, and the report becomes a paper-style table (Table 5 /
 //! Figure 10 shape) with one row per combination.
 //!
+//! Every batch — the `--file` list, a synthetic batch, or a sweep — is
+//! built once, as wire requests ([`oscar_serve::SubmitReq`]), before
+//! anything runs or connects. In-process runs execute each request's
+//! [`SubmitReq::to_spec`] job spec, the mapping the daemon applies to
+//! a submitted request.
+//!
 //! With `--connect ADDR` the batch is not run in-process at all:
-//! every job is submitted to a running `oscar-serve` daemon (Unix
+//! every request is submitted to a running `oscar-serve` daemon (Unix
 //! socket path or `host:port`) over the line-delimited JSON protocol,
 //! admission rejects are retried after the server's `retry_after_ms`
 //! hint, and `--compare` verifies each served checksum against a local
-//! `run_job` of the same parameters — the daemon's bit-identical
-//! contract, end to end. `--drain` asks the daemon to drain and shut
-//! down after the batch; `--metrics` fetches and prints the daemon's
-//! metrics registry first.
+//! `run_job` of the same spec — the daemon's bit-identical contract,
+//! end to end. `--drain` asks the daemon to drain and shut down after
+//! the batch; `--metrics` fetches and prints the daemon's metrics
+//! registry first.
 //!
 //! Observability (in-process modes): `--profile` prints an end-of-run
 //! profile — per-stage time totals from the obs registry, the
@@ -60,23 +66,21 @@
 //!
 //! `qubits` must be even (3-regular MaxCut instances); `seed` feeds
 //! instance generation, the sampling pattern, SPSA, and — under
-//! `--device` — the per-job noise realization.
+//! `--device` — the per-job noise realization. A line that does not
+//! denote a job exits with status 2 and a `PATH:LINE:` message, in both
+//! modes; the daemon's wire caps (such as `qubits <= 16`) apply only to
+//! served batches.
 
 use oscar_bench::{device_spec_or_exit, print_header};
-use oscar_core::grid::{Grid2d, Shape};
 use oscar_obs::span::{self, Stage};
 use oscar_obs::{MetricValue, Registry};
-use oscar_problems::ising::IsingProblem;
-use oscar_problems::workload::{ProblemInstance, ProblemKind};
+use oscar_problems::workload::ProblemKind;
 use oscar_runtime::descent::Descent;
-use oscar_runtime::job::{default_vqe_shape, run_job, JobResult, JobSpec};
+use oscar_runtime::job::{run_job, JobResult, JobSpec};
 use oscar_runtime::mitigation::Mitigation;
 use oscar_runtime::scheduler::{BatchRuntime, Priority, RuntimeConfig};
-use oscar_runtime::source::LandscapeSource;
 use oscar_runtime::KeyClass;
 use oscar_serve::SubmitReq;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::time::Instant;
 
 /// How `--priority` assigns dispatch priorities across the batch.
@@ -125,6 +129,16 @@ struct Options {
     trace: Option<String>,
     metrics: bool,
     store: Option<String>,
+}
+
+impl Options {
+    /// Whether any axis is swept (sweep mode).
+    fn sweeping(&self) -> bool {
+        self.problem == "sweep"
+            || self.device.as_deref() == Some("sweep")
+            || self.mitigation == "sweep"
+            || self.optimizer == "sweep"
+    }
 }
 
 fn usage_and_exit(code: i32) -> ! {
@@ -323,17 +337,6 @@ fn parse_options() -> Options {
     opts
 }
 
-/// Resolves a device name (honoring `--shots`) into a landscape source.
-fn source_for(name: Option<&str>, shots: Option<usize>) -> LandscapeSource {
-    match name {
-        None => LandscapeSource::Exact,
-        Some(name) => LandscapeSource::Noisy {
-            device: device_spec_or_exit(name),
-            shots,
-        },
-    }
-}
-
 /// Resolves `--problem` (sweep handled by the caller).
 fn problem_kind_or_exit(name: &str) -> ProblemKind {
     ProblemKind::by_name(name).unwrap_or_else(|| {
@@ -343,42 +346,6 @@ fn problem_kind_or_exit(name: &str) -> ProblemKind {
         );
         std::process::exit(2);
     })
-}
-
-/// The landscape shape a QAOA job of this depth samples: the paper's
-/// 2-D grid at depth 1, a modest 2P-dimensional tensor deeper (counts
-/// shrink with depth to keep the point total tractable).
-fn qaoa_shape(depth: usize) -> Shape {
-    match depth {
-        1 => Shape::Grid2d(Grid2d::small_p1(16, 20)),
-        2 => Shape::qaoa(2, 5, 6),
-        p => Shape::qaoa(p, 3, 3),
-    }
-}
-
-/// The fixed problem instance and landscape shape a kind contributes to
-/// sweeps and synthetic batches. QAOA kinds draw a 10-qubit instance
-/// from `instance_seed`; molecules are fixed by their Hamiltonian and
-/// scan the standard shape.
-fn instance_and_shape(
-    kind: ProblemKind,
-    depth: usize,
-    instance_seed: u64,
-) -> (ProblemInstance, Shape) {
-    match kind {
-        ProblemKind::MaxCut => {
-            let mut rng = StdRng::seed_from_u64(instance_seed);
-            let problem = IsingProblem::try_random_3_regular(10, &mut rng)
-                .expect("10-qubit 3-regular is feasible");
-            (ProblemInstance::ising(problem, depth), qaoa_shape(depth))
-        }
-        ProblemKind::SkModel => {
-            let mut rng = StdRng::seed_from_u64(instance_seed);
-            let problem = IsingProblem::sk_model(10, &mut rng);
-            (ProblemInstance::ising(problem, depth), qaoa_shape(depth))
-        }
-        ProblemKind::Molecule(m) => (ProblemInstance::molecule(m), default_vqe_shape(m)),
-    }
 }
 
 /// Resolves `--mitigation` (sweep handled by the caller).
@@ -404,97 +371,48 @@ fn descent_or_exit(name: &str) -> Descent {
     })
 }
 
-/// One swept-axis combination (the row label of the sweep table).
-#[derive(Clone)]
-struct Combo {
-    problem: ProblemKind,
-    device: Option<String>,
-    mitigation: Mitigation,
-    descent: Descent,
-}
-
-/// The cross product of the swept axes: `--problem sweep` crosses all
-/// four workload families, `--device sweep` the noisy Table 5 lineup,
-/// `--mitigation sweep` all five modes, `--optimizer sweep` all six
-/// optimizers; a non-swept axis contributes its single configured value.
-fn sweep_combos(opts: &Options) -> Vec<Combo> {
-    let problems: Vec<ProblemKind> = match opts.problem.as_str() {
-        "sweep" => ProblemKind::names()
-            .iter()
-            .map(|n| ProblemKind::by_name(n).expect("registry names resolve"))
-            .collect(),
-        name => vec![problem_kind_or_exit(name)],
-    };
-    let devices: Vec<Option<String>> = match opts.device.as_deref() {
-        Some("sweep") => SWEEP_DEVICES.iter().map(|d| Some(d.to_string())).collect(),
-        other => vec![other.map(str::to_string)],
-    };
-    let mitigations: Vec<Mitigation> = match opts.mitigation.as_str() {
-        "sweep" => vec![
-            Mitigation::None,
-            Mitigation::zne_richardson(),
-            Mitigation::zne_linear(),
-            Mitigation::Readout,
-            Mitigation::gaussian(),
-        ],
-        name => vec![mitigation_or_exit(name)],
-    };
-    let descents: Vec<Descent> = match opts.optimizer.as_str() {
-        "sweep" => Descent::OPTIMIZERS.to_vec(),
-        name => vec![descent_or_exit(name)],
-    };
-    let mut combos = Vec::new();
-    for problem in &problems {
-        for device in &devices {
-            for mitigation in &mitigations {
-                for descent in &descents {
-                    combos.push(Combo {
-                        problem: *problem,
-                        device: device.clone(),
-                        mitigation: mitigation.clone(),
-                        descent: *descent,
-                    });
-                }
-            }
+/// The request for a kind's fixed instance and standard shape, the
+/// workload of sweeps and of non-default synthetic batches. QAOA kinds
+/// draw a 10-qubit instance from seed 40 and sample the paper's 16×20
+/// grid at depth 1, or a modest 2P-dimensional tensor deeper (counts
+/// shrink with depth to keep the point total tractable); molecules are
+/// fixed by their Hamiltonian and scan their standard shape.
+fn fixed_instance_request(kind: ProblemKind, depth: usize, seed: u64, fraction: f64) -> SubmitReq {
+    let mut req = match (kind, depth) {
+        (ProblemKind::Molecule(m), _) => SubmitReq::vqe(m, seed, fraction),
+        (_, 1) => SubmitReq {
+            problem: kind,
+            ..SubmitReq::new(10, seed, 16, 20, fraction)
+        },
+        (_, p) => {
+            let (betas, gammas) = if p == 2 { (5, 6) } else { (3, 3) };
+            let counts = [vec![betas; p], vec![gammas; p]].concat();
+            SubmitReq::deep_qaoa(kind, 10, p, seed, counts, fraction)
         }
-    }
-    combos
+    };
+    req.instance_seed = 40;
+    req
 }
 
-/// Sweep-mode jobs: every combination over one fixed instance and
-/// shape per problem kind, one sampling seed — so the landscape cache
-/// shares raw and per-factor landscapes across rows and the table
-/// isolates the problem/mitigation/optimizer axes. QAOA rows honor
-/// `--depth`; molecular rows scan their standard shape.
-fn sweep_jobs(opts: &Options, combos: &[Combo]) -> Vec<JobSpec> {
-    combos
-        .iter()
-        .map(|combo| {
-            let (instance, shape) = instance_and_shape(combo.problem, opts.depth, 40);
-            JobSpec::shaped(instance, shape, opts.fraction, 7)
-                .with_source(source_for(combo.device.as_deref(), opts.shots))
-                .with_landscape_seed(1)
-                .with_mitigation(combo.mitigation.clone())
-                .with_descent(combo.descent)
-        })
-        .collect()
+/// Reports a bad job-list line and exits 2.
+fn line_error(path: &str, lineno: usize, message: &str) -> ! {
+    eprintln!("error: {path}:{lineno}: {message}");
+    std::process::exit(2);
 }
 
-/// Parses the job-list file format (see module docs). Under a noisy
-/// source, each line's `seed` doubles as its noise-realization seed, so
-/// distinct lines sweep distinct noise streams deterministically.
-fn load_jobs(
-    path: &str,
-    source: &LandscapeSource,
-    mitigation: &Mitigation,
-    descent: Descent,
-) -> Vec<JobSpec> {
+/// Parses the job-list file format (see module docs) into depth-1
+/// MaxCut requests. Each line's `seed` also seeds its instance and,
+/// under a noisy source, its noise realization, so distinct lines sweep
+/// distinct noise streams deterministically. A line that does not
+/// denote a job exits 2 as `PATH:LINE: …`, before anything runs.
+fn load_requests(path: &str) -> Vec<SubmitReq> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("error: cannot read job list '{path}': {e}");
         std::process::exit(2);
     });
-    let mut specs = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
+    let mut reqs = Vec::new();
+    for (index, line) in text.lines().enumerate() {
+        let lineno = index + 1;
         let line = line.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
             continue;
@@ -513,96 +431,143 @@ fn load_jobs(
             ))
         })();
         let Some((qubits, seed, rows, cols, fraction)) = parsed else {
-            eprintln!(
-                "error: {path}:{}: expected `qubits seed rows cols fraction`, got '{line}'",
-                lineno + 1
+            line_error(
+                path,
+                lineno,
+                &format!("expected `qubits seed rows cols fraction`, got '{line}'"),
             );
-            std::process::exit(2);
         };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let problem = IsingProblem::try_random_3_regular(qubits, &mut rng).unwrap_or_else(|e| {
-            eprintln!("error: {path}:{}: {e}", lineno + 1);
-            std::process::exit(2);
-        });
-        specs.push(
-            JobSpec::new(problem, Grid2d::small_p1(rows, cols), fraction, seed)
-                .with_source(source.clone())
-                .with_landscape_seed(seed)
-                .with_mitigation(mitigation.clone())
-                .with_descent(descent),
-        );
+        if rows < 2 || cols < 2 {
+            line_error(path, lineno, "rows and cols must be at least 2");
+        }
+        let req = SubmitReq::new(qubits, seed, rows, cols, fraction);
+        if let Err(e) = req.to_spec() {
+            line_error(path, lineno, &e.message);
+        }
+        reqs.push(req);
     }
-    if specs.is_empty() {
+    if reqs.is_empty() {
         eprintln!("error: job list '{path}' contains no jobs");
         std::process::exit(2);
     }
-    specs
+    reqs
 }
 
-/// Synthesizes a batch for the default workload (depth-1 MaxCut): `n`
-/// jobs cycling through 4 problem instances and 4 grids, so the
-/// landscape cache has real repeats to dedupe. Any other
-/// `--problem`/`--depth` combination runs `n` sampling seeds over the
-/// kind's fixed instance and shape (the [`instance_and_shape`]
-/// mapping), cycling 4 noise-realization seeds so noisy repeats still
-/// share cached landscapes. Under a noisy source the noise-realization
-/// seed follows the instance (not the job) in both modes.
-fn synthetic_jobs(
-    kind: ProblemKind,
-    depth: usize,
-    n: usize,
-    fraction: f64,
-    source: &LandscapeSource,
-    mitigation: &Mitigation,
-    descent: Descent,
-) -> Vec<JobSpec> {
-    if kind != ProblemKind::MaxCut || depth != 1 {
-        let (instance, shape) = instance_and_shape(kind, depth, 40);
-        return (0..n)
+/// The synthetic batch of `--jobs` requests. The default workload
+/// (depth-1 MaxCut) cycles through 4 problem instances and 4 grids, so
+/// the landscape cache has real repeats to dedupe. Any other
+/// `--problem`/`--depth` combination runs the sampling seeds over the
+/// kind's [`fixed_instance_request`], cycling 4 noise-realization seeds
+/// so noisy repeats still share cached landscapes. Under a noisy source
+/// the noise-realization seed follows the instance (not the job) in
+/// both cases.
+fn synthetic_requests(opts: &Options) -> Vec<SubmitReq> {
+    let kind = problem_kind_or_exit(&opts.problem);
+    let seed = |j: usize| 2000 + j as u64 * 13;
+    if kind != ProblemKind::MaxCut || opts.depth != 1 {
+        return (0..opts.jobs)
             .map(|j| {
-                JobSpec::shaped(
-                    instance.clone(),
-                    shape.clone(),
-                    fraction,
-                    2000 + j as u64 * 13,
-                )
-                .with_source(source.clone())
-                .with_landscape_seed((j % 4) as u64)
-                .with_mitigation(mitigation.clone())
-                .with_descent(descent)
+                let mut req = fixed_instance_request(kind, opts.depth, seed(j), opts.fraction);
+                req.landscape_seed = (j % 4) as u64;
+                req
             })
             .collect();
     }
-    let problems: Vec<IsingProblem> = (0..4u64)
-        .map(|k| {
-            let mut rng = StdRng::seed_from_u64(40 + k);
-            IsingProblem::try_random_3_regular(8 + 2 * k as usize, &mut rng)
-                .expect("even-qubit 3-regular instances are feasible")
-        })
-        .collect();
-    let grids = [
-        Grid2d::small_p1(16, 20),
-        Grid2d::small_p1(20, 24),
-        Grid2d::small_p1(18, 28),
-        Grid2d::small_p1(24, 30),
-    ];
-    (0..n)
+    let grids = [(16, 20), (20, 24), (18, 28), (24, 30)];
+    (0..opts.jobs)
         .map(|j| {
             let k = j % 4;
-            JobSpec::new(
-                problems[k].clone(),
-                grids[k],
-                fraction,
-                2000 + j as u64 * 13,
-            )
-            .with_source(source.clone())
-            .with_landscape_seed(k as u64)
-            .with_mitigation(mitigation.clone())
-            .with_descent(descent)
+            let (rows, cols) = grids[k];
+            let mut req = SubmitReq::new(8 + 2 * k, seed(j), rows, cols, opts.fraction);
+            req.instance_seed = 40 + k as u64;
+            req.landscape_seed = k as u64;
+            req
         })
         .collect()
 }
 
+/// The one job builder: every batch as wire requests, with device,
+/// mitigation and optimizer names resolved once and priorities
+/// assigned. Local runs execute the requests' [`SubmitReq::to_spec`]
+/// specs and connect mode submits the requests themselves, so a served
+/// job is the job a local run executes.
+///
+/// The batch is the cross product of its base requests with the
+/// device, mitigation and optimizer axes: `--device sweep` crosses the
+/// noisy Table 5 lineup, `--mitigation sweep` all five modes and
+/// `--optimizer sweep` all six optimizers, while an axis that is not
+/// swept contributes its one configured value. Outside sweep mode the
+/// base is the `--file` list or the synthetic batch. In sweep mode it
+/// is one fixed-instance request per problem kind (all four under
+/// `--problem sweep`) with one sampling seed, so the landscape cache
+/// shares raw and per-factor landscapes across rows and the table
+/// isolates the swept axes.
+fn batch_requests(opts: &Options) -> Vec<SubmitReq> {
+    let devices: Vec<Option<String>> = match opts.device.as_deref() {
+        Some("sweep") => SWEEP_DEVICES.iter().map(|d| Some(d.to_string())).collect(),
+        Some(name) => {
+            device_spec_or_exit(name);
+            vec![Some(name.to_string())]
+        }
+        None => vec![None],
+    };
+    let mitigations: Vec<Mitigation> = match opts.mitigation.as_str() {
+        "sweep" => vec![
+            Mitigation::None,
+            Mitigation::zne_richardson(),
+            Mitigation::zne_linear(),
+            Mitigation::Readout,
+            Mitigation::gaussian(),
+        ],
+        name => vec![mitigation_or_exit(name)],
+    };
+    let descents: Vec<Descent> = match opts.optimizer.as_str() {
+        "sweep" => Descent::OPTIMIZERS.to_vec(),
+        name => vec![descent_or_exit(name)],
+    };
+    let base: Vec<SubmitReq> = if opts.sweeping() {
+        let problems: Vec<ProblemKind> = match opts.problem.as_str() {
+            "sweep" => ProblemKind::names()
+                .iter()
+                .map(|n| ProblemKind::by_name(n).expect("registry names resolve"))
+                .collect(),
+            name => vec![problem_kind_or_exit(name)],
+        };
+        problems
+            .into_iter()
+            .map(|kind| {
+                let mut req = fixed_instance_request(kind, opts.depth, 7, opts.fraction);
+                req.landscape_seed = 1;
+                req
+            })
+            .collect()
+    } else {
+        match &opts.file {
+            Some(path) => load_requests(path),
+            None => synthetic_requests(opts),
+        }
+    };
+    let mut reqs = Vec::new();
+    for req in &base {
+        for device in &devices {
+            for mitigation in &mitigations {
+                for &descent in &descents {
+                    reqs.push(SubmitReq {
+                        device: device.clone(),
+                        shots: opts.shots,
+                        mitigation: mitigation.clone(),
+                        descent,
+                        priority: Some(opts.priority.for_job(reqs.len())),
+                        ..req.clone()
+                    });
+                }
+            }
+        }
+    }
+    reqs
+}
+
+/// The workload column: grid extents, or `N^rank` for a hypercube.
 fn describe(spec: &JobSpec) -> String {
     let dims = spec.shape.dims();
     let extent = if dims.len() > 2 && dims.iter().all(|&n| n == dims[0]) {
@@ -614,128 +579,6 @@ fn describe(spec: &JobSpec) -> String {
             .join("x")
     };
     format!("{}q {extent}", spec.problem.num_qubits())
-}
-
-/// Builds the wire requests for connect mode — the same parameters
-/// [`synthetic_jobs`] / [`load_jobs`] feed into [`JobSpec`]s, expressed
-/// as [`SubmitReq`]s so the daemon rebuilds identical specs.
-fn connect_requests(opts: &Options) -> Vec<SubmitReq> {
-    let mitigation = mitigation_or_exit(&opts.mitigation);
-    let descent = descent_or_exit(&opts.optimizer);
-    let fill = |mut req: SubmitReq, index: usize| -> SubmitReq {
-        req.device = opts.device.clone();
-        req.shots = opts.shots;
-        req.mitigation = mitigation.clone();
-        req.descent = descent;
-        req.priority = Some(opts.priority.for_job(index));
-        req
-    };
-    match &opts.file {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: cannot read job list '{path}': {e}");
-                std::process::exit(2);
-            });
-            let mut reqs = Vec::new();
-            for line in text.lines() {
-                let line = line.split('#').next().unwrap_or("").trim();
-                if line.is_empty() {
-                    continue;
-                }
-                let fields: Vec<&str> = line.split_whitespace().collect();
-                let parsed: Option<(usize, u64, usize, usize, f64)> = (|| {
-                    if fields.len() != 5 {
-                        return None;
-                    }
-                    Some((
-                        fields[0].parse().ok()?,
-                        fields[1].parse().ok()?,
-                        fields[2].parse().ok()?,
-                        fields[3].parse().ok()?,
-                        fields[4].parse().ok()?,
-                    ))
-                })();
-                let Some((qubits, seed, rows, cols, fraction)) = parsed else {
-                    eprintln!("error: {path}: expected `qubits seed rows cols fraction`");
-                    std::process::exit(2);
-                };
-                let index = reqs.len();
-                // SubmitReq defaults instance_seed and landscape_seed to
-                // `seed` — exactly the load_jobs mapping.
-                reqs.push(fill(
-                    SubmitReq::new(qubits, seed, rows, cols, fraction),
-                    index,
-                ));
-            }
-            if reqs.is_empty() {
-                eprintln!("error: job list '{path}' contains no jobs");
-                std::process::exit(2);
-            }
-            reqs
-        }
-        None => {
-            let kind = problem_kind_or_exit(&opts.problem);
-            if kind != ProblemKind::MaxCut || opts.depth != 1 {
-                // Mirror the non-default synthetic_jobs mapping: `n`
-                // sampling seeds over the kind's fixed instance/shape.
-                return (0..opts.jobs)
-                    .map(|j| {
-                        let seed = 2000 + j as u64 * 13;
-                        let mut req = match kind {
-                            ProblemKind::Molecule(m) => SubmitReq::vqe(m, seed, opts.fraction),
-                            _ if opts.depth == 1 => {
-                                let mut req = SubmitReq::new(10, seed, 16, 20, opts.fraction);
-                                req.problem = kind;
-                                req
-                            }
-                            _ => SubmitReq::deep_qaoa(
-                                kind,
-                                10,
-                                opts.depth,
-                                seed,
-                                qaoa_shape(opts.depth).dims(),
-                                opts.fraction,
-                            ),
-                        };
-                        req.instance_seed = 40;
-                        req.landscape_seed = (j % 4) as u64;
-                        fill(req, j)
-                    })
-                    .collect();
-            }
-            // Mirror synthetic_jobs: 4 instances × 4 grids, cycled.
-            let grids = [(16usize, 20usize), (20, 24), (18, 28), (24, 30)];
-            (0..opts.jobs)
-                .map(|j| {
-                    let k = j % 4;
-                    let (rows, cols) = grids[k];
-                    let mut req =
-                        SubmitReq::new(8 + 2 * k, 2000 + j as u64 * 13, rows, cols, opts.fraction);
-                    req.instance_seed = 40 + k as u64;
-                    req.landscape_seed = k as u64;
-                    fill(req, j)
-                })
-                .collect()
-        }
-    }
-}
-
-/// The connect-mode workload column: grid extents for 2-D jobs, shape
-/// counts for deep QAOA, the molecule's standard scan otherwise.
-fn wire_workload(req: &SubmitReq) -> String {
-    match &req.shape {
-        Some(counts) => format!(
-            "{}q {}",
-            req.qubits,
-            counts
-                .iter()
-                .map(|n| n.to_string())
-                .collect::<Vec<_>>()
-                .join("x")
-        ),
-        None if req.problem.is_molecule() => format!("{} scan", req.problem.name()),
-        None => format!("{}q {}x{}", req.qubits, req.rows, req.cols),
-    }
 }
 
 /// Submits one request, retrying structured admission rejects after the
@@ -774,15 +617,14 @@ fn submit_with_retry(client: &mut oscar_serve::Client, req: &SubmitReq) -> u64 {
 
 /// Connect mode: drive a running `oscar-serve` daemon instead of an
 /// in-process runtime, with `--compare` checking every served checksum
-/// against a local `run_job` of the same request.
-fn run_connected(opts: &Options) -> ! {
+/// against a local `run_job` of the request's spec.
+fn run_connected(opts: &Options, reqs: &[SubmitReq], specs: &[JobSpec]) -> ! {
     use oscar_serve::Json;
     let addr = opts.connect.as_deref().expect("connect mode");
     let mut client = oscar_serve::Client::connect(addr).unwrap_or_else(|e| {
         eprintln!("error: cannot connect to {addr}: {e}");
         std::process::exit(1);
     });
-    let reqs = connect_requests(opts);
     println!("{} jobs over the wire to {addr}\n", reqs.len());
 
     let t0 = Instant::now();
@@ -795,7 +637,7 @@ fn run_connected(opts: &Options) -> ! {
         "job", "workload", "nrmse", "cache", "latency"
     );
     let mut drift = 0usize;
-    for (req, id) in reqs.iter().zip(&ids) {
+    for (spec, id) in specs.iter().zip(&ids) {
         let reply = client.wait(*id, Some(120_000), false).unwrap_or_else(|e| {
             eprintln!("error: wait({id}) failed: {e}");
             std::process::exit(1);
@@ -816,11 +658,7 @@ fn run_connected(opts: &Options) -> ! {
             .unwrap_or("?")
             .to_string();
         let verified = if opts.compare {
-            let spec = req.to_spec().unwrap_or_else(|e| {
-                eprintln!("error: {}", e.message);
-                std::process::exit(1);
-            });
-            let local = run_job(&spec, None);
+            let local = run_job(spec, None);
             let expected = format!("{:016x}", oscar_serve::result_checksum(&local));
             if expected == checksum {
                 " ok"
@@ -834,7 +672,7 @@ fn run_connected(opts: &Options) -> ! {
         println!(
             "{:>6}  {:<10}{:>9.4}{:>9}{:>10.1}ms  {checksum}{verified}",
             id,
-            wire_workload(req),
+            describe(spec),
             result
                 .get("nrmse")
                 .and_then(Json::as_f64)
@@ -895,43 +733,28 @@ fn main() {
         span::Tracer::global().set_enabled(true);
     }
     print_header("oscar-batch", "batch runtime throughput");
-    let sweeping = opts.problem == "sweep"
-        || opts.device.as_deref() == Some("sweep")
-        || opts.mitigation == "sweep"
-        || opts.optimizer == "sweep";
-    if sweeping && opts.file.is_some() {
+    if opts.sweeping() && opts.file.is_some() {
         eprintln!("error: --file cannot be combined with a swept axis");
         std::process::exit(2);
     }
+    if opts.sweeping() && opts.connect.is_some() {
+        eprintln!("error: swept axes cannot be combined with --connect");
+        std::process::exit(2);
+    }
+    let reqs = batch_requests(&opts);
+    let specs: Vec<JobSpec> = reqs
+        .iter()
+        .map(|req| {
+            req.to_spec().unwrap_or_else(|e| {
+                eprintln!("error: {}", e.message);
+                std::process::exit(2);
+            })
+        })
+        .collect();
     if opts.connect.is_some() {
-        if sweeping {
-            eprintln!("error: swept axes cannot be combined with --connect");
-            std::process::exit(2);
-        }
-        run_connected(&opts);
+        run_connected(&opts, &reqs, &specs);
     }
 
-    let (specs, combos) = if sweeping {
-        let combos = sweep_combos(&opts);
-        (sweep_jobs(&opts, &combos), Some(combos))
-    } else {
-        let source = source_for(opts.device.as_deref(), opts.shots);
-        let mitigation = mitigation_or_exit(&opts.mitigation);
-        let descent = descent_or_exit(&opts.optimizer);
-        let specs = match &opts.file {
-            Some(path) => load_jobs(path, &source, &mitigation, descent),
-            None => synthetic_jobs(
-                problem_kind_or_exit(&opts.problem),
-                opts.depth,
-                opts.jobs,
-                opts.fraction,
-                &source,
-                &mitigation,
-                descent,
-            ),
-        };
-        (specs, None)
-    };
     println!(
         "{} jobs, concurrency {}, pool budget {} thread(s), problem {}, depth {}, \
          source {}{}, mitigation {}, optimizer {}\n",
@@ -966,8 +789,10 @@ fn main() {
     let t0 = Instant::now();
     let handles: Vec<_> = specs
         .iter()
-        .enumerate()
-        .map(|(j, s)| runtime.submit_with_priority(s.clone(), opts.priority.for_job(j)))
+        .zip(&reqs)
+        .map(|(spec, req)| {
+            runtime.submit_with_priority(spec.clone(), req.priority.unwrap_or(Priority::Normal))
+        })
         .collect();
     let mut results = Vec::with_capacity(handles.len());
     for handle in handles {
@@ -981,9 +806,10 @@ fn main() {
     }
     let batch_wall = t0.elapsed();
 
-    match &combos {
-        Some(combos) => print_sweep_table(combos, &specs, &results),
-        None => print_job_table(&specs, &results),
+    if opts.sweeping() {
+        print_sweep_table(&reqs, &results);
+    } else {
+        print_job_table(&specs, &results);
     }
     let cache = runtime.cache_stats();
     let throughput = results.len() as f64 / batch_wall.as_secs_f64();
@@ -1250,18 +1076,18 @@ fn print_job_table(specs: &[JobSpec], results: &[JobResult]) {
 
 /// The paper-style sweep table: one row per problem × device ×
 /// mitigation × optimizer combination.
-fn print_sweep_table(combos: &[Combo], specs: &[JobSpec], results: &[JobResult]) {
+fn print_sweep_table(reqs: &[SubmitReq], results: &[JobResult]) {
     println!(
         "{:<9}{:<12}{:<12}{:<15}{:>9}{:>12}{:>7}{:>11}",
         "problem", "device", "mitigation", "optimizer", "nrmse", "best value", "cache", "latency"
     );
-    for ((combo, _spec), r) in combos.iter().zip(specs).zip(results) {
+    for (req, r) in reqs.iter().zip(results) {
         println!(
             "{:<9}{:<12}{:<12}{:<15}{:>9.4}{:>12.4}{:>7}{:>10.1}ms",
-            combo.problem.name(),
-            combo.device.as_deref().unwrap_or("exact"),
-            combo.mitigation.name(),
-            combo.descent.name(),
+            req.problem.name(),
+            req.device.as_deref().unwrap_or("exact"),
+            req.mitigation.name(),
+            req.descent.name(),
             r.nrmse,
             r.best_value,
             if r.landscape_cache_hit { "hit" } else { "miss" },

@@ -38,23 +38,19 @@
 
 pub mod grid;
 pub mod interpolate;
-pub mod io;
 pub mod landscape;
 pub mod metrics;
 pub mod reconstruct;
 pub mod reshape;
-pub mod reshape_nd;
 pub mod usecases;
 
 /// Glob-import of the most used types.
 pub mod prelude {
     pub use crate::grid::{Axis, Grid2d, Grid4d, Shape, TensorShape};
     pub use crate::interpolate::{BivariateSpline, CubicSpline, MultilinearInterp};
-    pub use crate::io::{read_csv, write_csv, LandscapeRecord};
     pub use crate::landscape::{Landscape, NdLandscape, ShapedLandscape};
     pub use crate::metrics::{nrmse, LandscapeMetrics};
     pub use crate::reconstruct::{NdReconstructionReport, ReconstructionReport, Reconstructor};
-    pub use crate::reshape_nd::GridNd;
     pub use crate::usecases::initialization::{compare_initialization, InitializationReport};
     pub use crate::usecases::mitigation::{MitigationMetrics, ZneLandscapes};
     pub use crate::usecases::optimizer_debug::{

@@ -36,10 +36,6 @@ use rand::Rng;
 pub struct Reconstructor {
     /// Sparse-recovery solver settings.
     pub fista: FistaConfig,
-    /// Force the dense O(n²) DCT kernel instead of the size-based
-    /// default. Only useful for baseline benchmarking
-    /// (`benches/speedup.rs`) and FFT-vs-dense validation.
-    pub force_dense_dct: bool,
 }
 
 /// The outcome of a reconstruction experiment against known ground truth.
@@ -76,10 +72,7 @@ pub struct NdReconstructionReport {
 impl Reconstructor {
     /// Creates a reconstructor with custom solver settings.
     pub fn new(fista: FistaConfig) -> Self {
-        Reconstructor {
-            fista,
-            force_dense_dct: false,
-        }
+        Reconstructor { fista }
     }
 
     /// Reconstructs a landscape from sampled values at known grid
@@ -98,7 +91,7 @@ impl Reconstructor {
     ) -> (Landscape, usize) {
         assert_eq!(pattern.rows(), grid.rows(), "pattern rows mismatch");
         assert_eq!(pattern.cols(), grid.cols(), "pattern cols mismatch");
-        let dct = self.make_dct(grid.rows(), grid.cols());
+        let dct = Dct2d::new(grid.rows(), grid.cols());
         let (values, iterations) = self.solve(&dct, pattern, samples);
         (Landscape::from_values(*grid, values), iterations)
     }
@@ -186,7 +179,7 @@ impl Reconstructor {
     ) -> Vec<f64> {
         assert_eq!(pattern.rows(), rows, "pattern rows mismatch");
         assert_eq!(pattern.cols(), cols, "pattern cols mismatch");
-        let dct = self.make_dct(rows, cols);
+        let dct = Dct2d::new(rows, cols);
         self.solve(&dct, pattern, samples).0
     }
 
@@ -250,16 +243,6 @@ impl Reconstructor {
             pattern,
             nrmse: err,
             solver_iterations,
-        }
-    }
-
-    /// Builds the sparsifying transform for a grid, honoring
-    /// [`Self::force_dense_dct`].
-    fn make_dct(&self, rows: usize, cols: usize) -> Dct2d {
-        if self.force_dense_dct {
-            Dct2d::new_dense(rows, cols)
-        } else {
-            Dct2d::new(rows, cols)
         }
     }
 

@@ -39,12 +39,11 @@
 //! | rank | 8 | axis count (`u64`; 2 for grids) |
 //! | axes | rank×24 | per axis: `lo` `f64`, `hi` `f64`, `n` `u64` |
 //! | count | 8 | payload value count (`u64`, = ∏ nᵢ) |
-//! | payload | count×8 | raw `f64` values, row-major ([`oscar_core::io`]) |
+//! | payload | count×8 | raw `f64` values, row-major |
 //! | checksum | 16 | FNV-1a-128 over **all** preceding bytes |
 
 use crate::cache::{lock, LandscapeKey};
 use oscar_core::grid::{Axis, Grid2d, TensorShape};
-use oscar_core::io::{f64s_from_le_bytes, f64s_to_le_bytes};
 use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
 use oscar_qsim::fingerprint::Fingerprint;
 use std::io::ErrorKind;
@@ -318,6 +317,37 @@ fn encode_entry(key: &LandscapeKey, landscape: &ShapedLandscape) -> Vec<u8> {
     out
 }
 
+/// Encodes `values` as raw IEEE-754 bytes, 8 per value, little-endian.
+/// Bit-exact: [`f64s_from_le_bytes`] recovers the identical bit
+/// patterns, including NaN payloads and signed zeros.
+fn f64s_to_le_bytes(values: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(values.len() * 8);
+    for v in values {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    out
+}
+
+/// Decodes a raw little-endian f64 payload written by
+/// [`f64s_to_le_bytes`]. Returns `None` unless the length is a whole
+/// number of 8-byte values (a truncated payload must read as corrupt,
+/// never as a shorter landscape).
+fn f64s_from_le_bytes(bytes: &[u8]) -> Option<Vec<f64>> {
+    if !bytes.len().is_multiple_of(8) {
+        return None;
+    }
+    Some(
+        bytes
+            .chunks_exact(8)
+            .map(|chunk| {
+                let mut raw = [0u8; 8];
+                raw.copy_from_slice(chunk);
+                f64::from_bits(u64::from_le_bytes(raw))
+            })
+            .collect(),
+    )
+}
+
 /// Why an entry failed to decode.
 enum DecodeError {
     /// Structurally invalid: counts `store.corrupt_entries`.
@@ -469,6 +499,34 @@ mod tests {
             .collect();
         assert_eq!(entries.len(), 1, "expected exactly one entry in {dir:?}");
         entries.pop().unwrap()
+    }
+
+    #[test]
+    fn f64_payload_roundtrip_is_bit_exact() {
+        let values = [
+            0.0,
+            -0.0,
+            1.5,
+            -2.25e-308,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7ff8_0000_0000_1234), // NaN with payload
+        ];
+        let bytes = f64s_to_le_bytes(&values);
+        assert_eq!(bytes.len(), values.len() * 8);
+        let back = f64s_from_le_bytes(&bytes).unwrap();
+        for (a, b) in values.iter().zip(&back) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn f64_payload_rejects_ragged_lengths() {
+        let bytes = f64s_to_le_bytes(&[1.0, 2.0]);
+        for cut in [1, 7, 9, 15] {
+            assert!(f64s_from_le_bytes(&bytes[..cut]).is_none());
+        }
+        assert_eq!(f64s_from_le_bytes(&[]), Some(vec![]));
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! answers a request with silence or a disconnect.
 //!
 //! [`SubmitReq`] is the single source of truth for how wire parameters
-//! become a [`JobSpec`]: [`SubmitReq::to_spec`] mirrors the
-//! `oscar-batch` job-list mapping (instance from
+//! become a [`JobSpec`]: [`SubmitReq::to_spec`] is also how
+//! `oscar-batch` builds its local jobs (instance from
 //! `StdRng::seed_from_u64(instance_seed)`, grid from `small_p1`), so a
-//! daemon-side job is *the same spec* a local run would build — the
+//! daemon-side job is *the same spec* a local run executes — the
 //! foundation of the bit-identical-results guarantee the fault suite
 //! asserts via [`result_checksum`].
 
@@ -499,9 +499,9 @@ impl SubmitReq {
         Json::Obj(fields)
     }
 
-    /// Builds the job spec this request denotes — the exact mapping
-    /// `oscar-batch --file` uses, so daemon-side results are
-    /// bit-identical to a local `run_job` on the same parameters.
+    /// Builds the job spec this request denotes. `oscar-batch` builds
+    /// every local job through this mapping too, so daemon-side results
+    /// are bit-identical to a local `run_job` of the same request.
     pub fn to_spec(&self) -> Result<JobSpec, RequestError> {
         let (instance, shape) = match self.problem {
             ProblemKind::MaxCut | ProblemKind::SkModel => {
@@ -934,18 +934,129 @@ mod tests {
 
     #[test]
     fn to_spec_matches_the_batch_job_list_mapping() {
-        // The same parameters, mapped by hand exactly as
-        // `oscar-batch --file` does it.
-        let req = SubmitReq::new(8, 17, 12, 14, 0.3);
-        let spec = req.to_spec().unwrap();
-        let mut rng = StdRng::seed_from_u64(17);
-        let problem = IsingProblem::try_random_3_regular(8, &mut rng).unwrap();
-        let reference =
-            JobSpec::new(problem, Grid2d::small_p1(12, 14), 0.3, 17).with_landscape_seed(17);
-        let a = oscar_runtime::job::run_job(&spec, None);
-        let b = oscar_runtime::job::run_job(&reference, None);
-        assert_eq!(result_checksum(&a), result_checksum(&b));
-        assert_eq!(a.nrmse.to_bits(), b.nrmse.to_bits());
+        // Each `oscar-batch` request shape against its spec built by hand
+        // from the library constructors: depth-1 MaxCut through
+        // `JobSpec::new`, every other kind through `JobSpec::shaped`
+        // with `Shape::qaoa` counts or the molecule's default scan.
+        let maxcut = |qubits: usize, seed: u64| {
+            IsingProblem::try_random_3_regular(qubits, &mut StdRng::seed_from_u64(seed)).unwrap()
+        };
+        let sk = |qubits: usize, seed: u64| {
+            IsingProblem::sk_model(qubits, &mut StdRng::seed_from_u64(seed))
+        };
+        let with_seeds = |mut req: SubmitReq, instance_seed: u64, landscape_seed: u64| {
+            req.instance_seed = instance_seed;
+            req.landscape_seed = landscape_seed;
+            req
+        };
+        let deep = |kind: ProblemKind, p: usize, nb: usize, ng: usize| {
+            let counts = [vec![nb; p], vec![ng; p]].concat();
+            with_seeds(SubmitReq::deep_qaoa(kind, 10, p, 2013, counts, 0.25), 40, 1)
+        };
+        let deep_ref = |problem: IsingProblem, p: usize, nb: usize, ng: usize| {
+            JobSpec::shaped(
+                ProblemInstance::ising(problem, p),
+                Shape::qaoa(p, nb, ng),
+                0.25,
+                2013,
+            )
+            .with_landscape_seed(1)
+        };
+        let vqe_ref = |m: Molecule| {
+            JobSpec::shaped(
+                ProblemInstance::molecule(m),
+                default_vqe_shape(m),
+                0.25,
+                2000,
+            )
+            .with_landscape_seed(0)
+        };
+        let mut noisy = with_seeds(
+            SubmitReq {
+                problem: ProblemKind::MaxCut,
+                ..SubmitReq::new(10, 7, 16, 20, 0.25)
+            },
+            40,
+            1,
+        );
+        noisy.device = Some("ibm perth".into());
+        noisy.shots = Some(2048);
+        noisy.mitigation = Mitigation::zne_richardson();
+        noisy.descent = Descent::Spsa;
+        let cases = [
+            (
+                "depth-1 MaxCut file line",
+                SubmitReq::new(8, 17, 12, 14, 0.3),
+                JobSpec::new(maxcut(8, 17), Grid2d::small_p1(12, 14), 0.3, 17)
+                    .with_landscape_seed(17),
+            ),
+            (
+                "synthetic, instance seed != seed",
+                with_seeds(SubmitReq::new(10, 2013, 20, 24, 0.25), 41, 1),
+                JobSpec::new(maxcut(10, 41), Grid2d::small_p1(20, 24), 0.25, 2013)
+                    .with_landscape_seed(1),
+            ),
+            (
+                "SK depth 1 on 16x20",
+                with_seeds(
+                    SubmitReq {
+                        problem: ProblemKind::SkModel,
+                        ..SubmitReq::new(10, 2000, 16, 20, 0.25)
+                    },
+                    40,
+                    0,
+                ),
+                JobSpec::shaped(
+                    ProblemInstance::ising(sk(10, 40), 1),
+                    Shape::Grid2d(Grid2d::small_p1(16, 20)),
+                    0.25,
+                    2000,
+                ),
+            ),
+            (
+                "MaxCut on qaoa(2, 5, 6)",
+                deep(ProblemKind::MaxCut, 2, 5, 6),
+                deep_ref(maxcut(10, 40), 2, 5, 6),
+            ),
+            (
+                "SK on qaoa(2, 5, 6)",
+                deep(ProblemKind::SkModel, 2, 5, 6),
+                deep_ref(sk(10, 40), 2, 5, 6),
+            ),
+            (
+                "MaxCut on qaoa(3, 3, 3)",
+                deep(ProblemKind::MaxCut, 3, 3, 3),
+                deep_ref(maxcut(10, 40), 3, 3, 3),
+            ),
+            (
+                "H2 default scan",
+                with_seeds(SubmitReq::vqe(Molecule::H2, 2000, 0.25), 40, 0),
+                vqe_ref(Molecule::H2),
+            ),
+            (
+                "LiH default scan",
+                with_seeds(SubmitReq::vqe(Molecule::LiH, 2000, 0.25), 40, 0),
+                vqe_ref(Molecule::LiH),
+            ),
+            (
+                "noisy device with shots, ZNE and SPSA",
+                noisy,
+                JobSpec::new(maxcut(10, 40), Grid2d::small_p1(16, 20), 0.25, 7)
+                    .with_source(LandscapeSource::Noisy {
+                        device: DeviceSpec::by_name("ibm perth").unwrap(),
+                        shots: Some(2048),
+                    })
+                    .with_landscape_seed(1)
+                    .with_mitigation(Mitigation::zne_richardson())
+                    .with_descent(Descent::Spsa),
+            ),
+        ];
+        for (name, req, reference) in cases {
+            let a = oscar_runtime::job::run_job(&req.to_spec().unwrap(), None);
+            let b = oscar_runtime::job::run_job(&reference, None);
+            assert_eq!(result_checksum(&a), result_checksum(&b), "{name}");
+            assert_eq!(a.nrmse.to_bits(), b.nrmse.to_bits(), "{name}");
+        }
     }
 
     #[test]
