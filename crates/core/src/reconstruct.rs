@@ -5,7 +5,7 @@ use crate::grid::{Grid2d, TensorShape};
 use crate::landscape::{Landscape, NdLandscape};
 use crate::metrics::nrmse;
 use oscar_cs::dct::{Dct2d, DctNd};
-use oscar_cs::fista::{fista_with, FistaConfig};
+use oscar_cs::fista::{fista_with, FistaConfig, FistaExit, FistaResult};
 use oscar_cs::measure::{
     MeasurementOperator, MeasurementOperatorNd, NdSamplePattern, SamplePattern,
 };
@@ -51,6 +51,8 @@ pub struct ReconstructionReport {
     pub samples_used: usize,
     /// FISTA iterations performed.
     pub solver_iterations: usize,
+    /// Why FISTA stopped: converged, or ran into its iteration cap.
+    pub solver_exit: FistaExit,
 }
 
 /// The outcome of an N-D reconstruction experiment against known ground
@@ -67,6 +69,8 @@ pub struct NdReconstructionReport {
     pub samples_used: usize,
     /// FISTA iterations performed.
     pub solver_iterations: usize,
+    /// Why FISTA stopped: converged, or ran into its iteration cap.
+    pub solver_exit: FistaExit,
 }
 
 impl Reconstructor {
@@ -89,11 +93,22 @@ impl Reconstructor {
         pattern: &SamplePattern,
         samples: &[f64],
     ) -> (Landscape, usize) {
+        let (landscape, sol) = self.solve_grid(grid, pattern, samples);
+        (landscape, sol.iterations)
+    }
+
+    /// [`Self::reconstruct`] with the full solver outcome.
+    fn solve_grid(
+        &self,
+        grid: &Grid2d,
+        pattern: &SamplePattern,
+        samples: &[f64],
+    ) -> (Landscape, FistaResult) {
         assert_eq!(pattern.rows(), grid.rows(), "pattern rows mismatch");
         assert_eq!(pattern.cols(), grid.cols(), "pattern cols mismatch");
         let dct = Dct2d::new(grid.rows(), grid.cols());
-        let (values, iterations) = self.solve(&dct, pattern, samples);
-        (Landscape::from_values(*grid, values), iterations)
+        let (values, sol) = self.solve(&dct, pattern, samples);
+        (Landscape::from_values(*grid, values), sol)
     }
 
     /// Full experiment against ground truth: sample `fraction` of the true
@@ -157,14 +172,15 @@ impl Reconstructor {
         pattern: SamplePattern,
         samples: &[f64],
     ) -> ReconstructionReport {
-        let (landscape, solver_iterations) = self.reconstruct(truth.grid(), &pattern, samples);
+        let (landscape, sol) = self.solve_grid(truth.grid(), &pattern, samples);
         let err = nrmse(truth.values(), landscape.values());
         ReconstructionReport {
             landscape,
             samples_used: pattern.num_samples(),
             pattern,
             nrmse: err,
-            solver_iterations,
+            solver_iterations: sol.iterations,
+            solver_exit: sol.exit,
         }
     }
 
@@ -197,6 +213,17 @@ impl Reconstructor {
         pattern: &NdSamplePattern,
         samples: &[f64],
     ) -> (NdLandscape, usize) {
+        let (landscape, sol) = self.solve_tensor(shape, pattern, samples);
+        (landscape, sol.iterations)
+    }
+
+    /// [`Self::reconstruct_tensor`] with the full solver outcome.
+    fn solve_tensor(
+        &self,
+        shape: &TensorShape,
+        pattern: &NdSamplePattern,
+        samples: &[f64],
+    ) -> (NdLandscape, FistaResult) {
         assert_eq!(
             pattern.dims(),
             &shape.dims()[..],
@@ -214,10 +241,7 @@ impl Reconstructor {
         let mut values = vec![0.0; dct.len()];
         let mut scratch = dct.make_scratch();
         dct.inverse_into(&sol.coefficients, &mut values, &mut scratch);
-        (
-            NdLandscape::from_values(shape.clone(), values),
-            sol.iterations,
-        )
+        (NdLandscape::from_values(shape.clone(), values), sol)
     }
 
     /// N-D analogue of [`Self::reconstruct_fraction_seeded`]: draws the
@@ -234,21 +258,26 @@ impl Reconstructor {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let pattern = NdSamplePattern::random(&truth.shape().dims(), fraction, &mut rng);
         let samples = pattern.gather(truth.values());
-        let (landscape, solver_iterations) =
-            self.reconstruct_tensor(truth.shape(), &pattern, &samples);
+        let (landscape, sol) = self.solve_tensor(truth.shape(), &pattern, &samples);
         let err = nrmse(truth.values(), landscape.values());
         NdReconstructionReport {
             landscape,
             samples_used: pattern.num_samples(),
             pattern,
             nrmse: err,
-            solver_iterations,
+            solver_iterations: sol.iterations,
+            solver_exit: sol.exit,
         }
     }
 
     /// Shared solve path: one [`Workspace`] per call keeps every FISTA
     /// iteration and the final inverse transform allocation-free.
-    fn solve(&self, dct: &Dct2d, pattern: &SamplePattern, samples: &[f64]) -> (Vec<f64>, usize) {
+    fn solve(
+        &self,
+        dct: &Dct2d,
+        pattern: &SamplePattern,
+        samples: &[f64],
+    ) -> (Vec<f64>, FistaResult) {
         assert_eq!(
             samples.len(),
             pattern.num_samples(),
@@ -260,7 +289,7 @@ impl Reconstructor {
         let mut values = vec![0.0; dct.len()];
         let mut scratch = dct.make_scratch();
         dct.inverse_into(&sol.coefficients, &mut values, &mut scratch);
-        (values, sol.iterations)
+        (values, sol)
     }
 }
 

@@ -39,6 +39,37 @@ pub const FAST_DCT_THRESHOLD: usize = 32;
 /// across worker threads.
 const PAR_MIN_ELEMS: usize = 1 << 14;
 
+/// Weight of sample `i` in coefficient `k` of the orthonormal length-`n`
+/// DCT-II.
+fn dct_weight(n: usize, k: usize, i: usize) -> f64 {
+    let scale = if k == 0 {
+        (1.0 / n as f64).sqrt()
+    } else {
+        (2.0 / n as f64).sqrt()
+    };
+    scale * (std::f64::consts::PI * (i as f64 + 0.5) * k as f64 / n as f64).cos()
+}
+
+/// Builds the row-major `n x n` synthesis matrix of the orthonormal
+/// DCT: `m[i*n + k]` is the weight of coefficient `k` in sample `i`,
+/// so row `i` is the transpose of the dense kernel's column `i`. Callers
+/// go through [`crate::plan_cache::synthesis_matrix`], which builds each
+/// length once.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub(crate) fn synthesis_matrix(n: usize) -> Vec<f64> {
+    assert!(n > 0, "transform length must be positive");
+    let mut mat = vec![0.0; n * n];
+    for i in 0..n {
+        for k in 0..n {
+            mat[i * n + k] = dct_weight(n, k, i);
+        }
+    }
+    mat
+}
+
 /// Apply-time scratch for one [`Dct1d`]. Empty for the dense kernel.
 #[derive(Clone, Debug, Default)]
 pub struct Dct1dScratch(FftScratch);
@@ -105,13 +136,9 @@ impl Dct1d {
     pub fn new_dense(n: usize) -> Self {
         assert!(n > 0, "transform length must be positive");
         let mut mat = vec![0.0; n * n];
-        let norm0 = (1.0 / n as f64).sqrt();
-        let norm = (2.0 / n as f64).sqrt();
         for k in 0..n {
-            let scale = if k == 0 { norm0 } else { norm };
             for i in 0..n {
-                mat[k * n + i] =
-                    scale * (std::f64::consts::PI * (i as f64 + 0.5) * k as f64 / n as f64).cos();
+                mat[k * n + i] = dct_weight(n, k, i);
             }
         }
         Dct1d {
@@ -290,8 +317,9 @@ impl Dct1d {
 }
 
 /// Apply-time scratch for a [`Dct2d`]: two full-grid buffers for the
-/// separable passes plus per-worker 1-D scratch pools. Allocate once
-/// with [`Dct2d::make_scratch`] and reuse — every apply through it is
+/// separable passes plus per-worker 1-D scratch pools (the crate's row
+/// passes alone use one buffer and the row pool). Allocate once with
+/// [`Dct2d::make_scratch`] and reuse — every apply through it is
 /// heap-allocation-free.
 #[derive(Clone, Debug)]
 pub struct Dct2dScratch {
@@ -400,13 +428,84 @@ impl Dct2d {
         (self.row_t.kernel_id(), self.col_t.kernel_id())
     }
 
-    /// Allocates reusable apply-time scratch for this grid.
-    pub fn make_scratch(&self) -> Dct2dScratch {
-        let workers = if self.len() >= PAR_MIN_ELEMS {
+    /// Applies the row kernel to every complete row of `src` (a prefix
+    /// of the grid's rows, pair-packed on the FFT kernel and split
+    /// across workers above `PAR_MIN_ELEMS`, as the first pass of a full
+    /// apply is), and writes the result transposed into `dst_t`
+    /// (`cols x k` for `k` source rows).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths differ or are not a whole number of rows.
+    pub(crate) fn row_pass_into_transposed(
+        &self,
+        src: &[f64],
+        dst_t: &mut [f64],
+        scratch: &mut Dct2dScratch,
+        forward: bool,
+    ) {
+        assert_eq!(src.len(), dst_t.len(), "row pass length mismatch");
+        assert_eq!(src.len() % self.cols, 0, "row pass needs whole rows");
+        let tmp = &mut scratch.tmp[..src.len()];
+        line_pass(&self.row_t, src, tmp, self.cols, &mut scratch.row, forward);
+        transpose(tmp, dst_t, src.len() / self.cols, self.cols);
+    }
+
+    /// The row pass over the whole grid, read from `src_t`, the grid's
+    /// transpose (`cols x rows`, row-major).
+    ///
+    /// # Panics
+    ///
+    /// Panics on length mismatches or scratch from a different grid.
+    pub(crate) fn row_pass_from_transposed(
+        &self,
+        src_t: &[f64],
+        dst: &mut [f64],
+        scratch: &mut Dct2dScratch,
+        forward: bool,
+    ) {
+        assert_eq!(src_t.len(), self.len(), "grid size mismatch");
+        assert_eq!(dst.len(), self.len(), "output size mismatch");
+        assert_eq!(scratch.tmp.len(), self.len(), "scratch grid mismatch");
+        transpose(src_t, &mut scratch.tmp, self.cols, self.rows);
+        line_pass(
+            &self.row_t,
+            &scratch.tmp,
+            dst,
+            self.cols,
+            &mut scratch.row,
+            forward,
+        );
+    }
+
+    /// Allocates scratch for the row passes alone
+    /// ([`Self::row_pass_into_transposed`],
+    /// [`Self::row_pass_from_transposed`]): one grid buffer and the row
+    /// pool, without the column pass's second buffer and pool. A full
+    /// apply through it panics.
+    pub(crate) fn make_row_scratch(&self) -> Dct2dScratch {
+        Dct2dScratch {
+            tmp: vec![0.0; self.len()],
+            tmp2: Vec::new(),
+            row: (0..self.workers())
+                .map(|_| self.row_t.make_scratch())
+                .collect(),
+            col: Vec::new(),
+        }
+    }
+
+    /// Worker count the passes split across on this grid.
+    fn workers(&self) -> usize {
+        if self.len() >= PAR_MIN_ELEMS {
             oscar_par::max_threads()
         } else {
             1
-        };
+        }
+    }
+
+    /// Allocates reusable apply-time scratch for this grid.
+    pub fn make_scratch(&self) -> Dct2dScratch {
+        let workers = self.workers();
         Dct2dScratch {
             tmp: vec![0.0; self.len()],
             tmp2: vec![0.0; self.len()],
@@ -470,6 +569,11 @@ impl Dct2d {
         assert_eq!(x.len(), rows * cols, "grid size mismatch");
         assert_eq!(out.len(), rows * cols, "output size mismatch");
         assert_eq!(scratch.tmp.len(), rows * cols, "scratch grid mismatch");
+        assert_eq!(
+            scratch.tmp2.len(),
+            rows * cols,
+            "scratch holds row-pass buffers only"
+        );
         let Dct2dScratch {
             tmp,
             tmp2,

@@ -11,6 +11,22 @@
 //! fresh [`Workspace`] per call; [`fista_with`] takes a caller-owned
 //! workspace and performs **no heap allocation in steady state** (the
 //! only allocation per solve is the result's coefficient vector).
+//!
+//! # Cost model
+//!
+//! A solve of `I` iterations costs `I` forward and `I` adjoint operator
+//! applies (see [`crate::measure`] for what one apply costs), plus
+//! `O(n)` vector work per iteration. The debias refit that follows
+//! keeps the recovered support `S` fixed, so it works on the support's
+//! atom columns `Φ = A[:, S]` instead of the operator: building them
+//! costs `|S|` forward applies of a one-hot iterate and `m·|S|` floats,
+//! and each of its at most `debias_iters` iterations then costs
+//! `2·m·|S|` multiply-adds, where a step through the operator would
+//! cost a forward and an adjoint apply. Supports stay far below `m`: in
+//! the benchmark workloads they hold 7–15 (50x100 MaxCut, `m = 500`),
+//! 7–25 (32x40 ZNE, `m = 256`) and 2 (LiH 3⁸, `m = 1641`) coefficients,
+//! and the refit runs its full 120 iterations on the first two and
+//! 93–116 on LiH.
 
 use crate::measure::SensingOperator;
 use crate::workspace::Workspace;
@@ -45,6 +61,15 @@ impl Default for FistaConfig {
     }
 }
 
+/// Why the FISTA iteration stopped.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FistaExit {
+    /// The relative change of the iterate fell to `tol`.
+    Converged,
+    /// `max_iter` iterations ran without meeting `tol`.
+    IterationCap,
+}
+
 /// Outcome of a FISTA run.
 #[derive(Clone, Debug)]
 pub struct FistaResult {
@@ -52,6 +77,8 @@ pub struct FistaResult {
     pub coefficients: Vec<f64>,
     /// Iterations actually used.
     pub iterations: usize,
+    /// Why the iteration stopped.
+    pub exit: FistaExit,
     /// Final residual norm `||y - A s||_2`.
     pub residual_norm: f64,
     /// Number of non-zero coefficients in the solution.
@@ -110,7 +137,6 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
     assert!(cfg.lambda > 0.0, "lambda must be positive");
     ws.ensure(op);
 
-    let n = op.signal_len();
     let lambda = if cfg.relative_lambda {
         op.adjoint_into(y, &mut ws.grad, &mut ws.op);
         let max_corr = ws.grad.iter().fold(0.0f64, |m, v| m.max(v.abs()));
@@ -123,6 +149,7 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
     ws.z.fill(0.0); // momentum point
     let mut t = 1.0f64;
     let mut iterations = 0;
+    let mut exit = FistaExit::IterationCap;
 
     for it in 0..cfg.max_iter {
         iterations = it + 1;
@@ -132,24 +159,29 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
             *r = a - b;
         }
         op.adjoint_into(&ws.resid, &mut ws.grad, &mut ws.op);
-        // Proximal (soft-threshold) step with unit step size.
-        for i in 0..n {
-            ws.s_next[i] = soft_threshold(ws.z[i] - ws.grad[i], lambda);
-        }
-        // Momentum update.
         let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
         let beta = (t - 1.0) / t_next;
         let mut max_delta = 0.0f64;
         let mut max_mag = 0.0f64;
-        for i in 0..n {
-            let delta = ws.s_next[i] - ws.s[i];
-            ws.z[i] = ws.s_next[i] + beta * delta;
+        // One pass: proximal (soft-threshold) step with unit step size,
+        // then the momentum update of the same entry.
+        for (((next, &s), z), &g) in ws
+            .s_next
+            .iter_mut()
+            .zip(&ws.s)
+            .zip(ws.z.iter_mut())
+            .zip(&ws.grad)
+        {
+            *next = soft_threshold(*z - g, lambda);
+            let delta = *next - s;
+            *z = *next + beta * delta;
             max_delta = max_delta.max(delta.abs());
-            max_mag = max_mag.max(ws.s_next[i].abs());
+            max_mag = max_mag.max(next.abs());
         }
         std::mem::swap(&mut ws.s, &mut ws.s_next);
         t = t_next;
         if max_delta <= cfg.tol * max_mag.max(1e-12) {
+            exit = FistaExit::Converged;
             break;
         }
     }
@@ -170,13 +202,18 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
     FistaResult {
         coefficients: ws.s.clone(),
         iterations,
+        exit,
         residual_norm,
         support_size,
     }
 }
 
 /// Gradient descent restricted to the current support (l1 term dropped),
-/// correcting the soft-threshold shrinkage bias. Operates on `ws.s`.
+/// correcting the soft-threshold shrinkage bias. Operates on `ws.s`:
+/// builds each atom column `A e_j` of `Φ = A[:, S]` once into
+/// `ws.atoms` (`|S| x m`, as OMP stores them), then takes unit steps
+/// `r = Φ s_S − y; s_S −= Φᵀ r` until the largest step falls below
+/// `1e-12` or `iters` steps ran.
 fn debias<O: SensingOperator + ?Sized>(op: &O, y: &[f64], iters: usize, ws: &mut Workspace) {
     ws.support.clear();
     ws.support.extend(
@@ -188,16 +225,33 @@ fn debias<O: SensingOperator + ?Sized>(op: &O, y: &[f64], iters: usize, ws: &mut
     if ws.support.is_empty() {
         return;
     }
+    let m = y.len();
+    ws.atoms.clear();
+    ws.atoms.resize(ws.support.len() * m, 0.0);
+    // `z` (the momentum point) is dead after the main loop: reuse it as
+    // the unit vector `e_j`.
+    ws.z.fill(0.0);
+    for (&j, atom) in ws.support.iter().zip(ws.atoms.chunks_exact_mut(m)) {
+        ws.z[j] = 1.0;
+        op.forward_into(&ws.z, atom, &mut ws.op);
+        ws.z[j] = 0.0;
+    }
     for _ in 0..iters {
-        op.forward_into(&ws.s, &mut ws.az, &mut ws.op);
-        for ((r, &a), &b) in ws.resid.iter_mut().zip(ws.az.iter()).zip(y.iter()) {
-            *r = a - b;
+        ws.resid.fill(0.0);
+        for (&j, atom) in ws.support.iter().zip(ws.atoms.chunks_exact(m)) {
+            let sj = ws.s[j];
+            for (r, &a) in ws.resid.iter_mut().zip(atom) {
+                *r += sj * a;
+            }
         }
-        op.adjoint_into(&ws.resid, &mut ws.grad, &mut ws.op);
+        for (r, &b) in ws.resid.iter_mut().zip(y) {
+            *r -= b;
+        }
         let mut max_step = 0.0f64;
-        for &i in &ws.support {
-            ws.s[i] -= ws.grad[i];
-            max_step = max_step.max(ws.grad[i].abs());
+        for (&j, atom) in ws.support.iter().zip(ws.atoms.chunks_exact(m)) {
+            let g: f64 = atom.iter().zip(&ws.resid).map(|(a, r)| a * r).sum();
+            ws.s[j] -= g;
+            max_step = max_step.max(g.abs());
         }
         if max_step < 1e-12 {
             break;
@@ -330,6 +384,110 @@ mod tests {
         for (a, b) in recon.iter().zip(&full) {
             assert!((a - b).abs() < 0.05, "{a} vs {b}");
         }
+    }
+
+    /// The debias refit as a plain loop through the operator: a forward
+    /// and an adjoint apply per unit step, of which only the support
+    /// entries of the gradient are read.
+    fn debias_through_operator<O: SensingOperator>(op: &O, y: &[f64], s: &mut [f64], iters: usize) {
+        let support: Vec<usize> = (0..s.len()).filter(|&i| s[i] != 0.0).collect();
+        let mut scratch = op.make_scratch();
+        let mut resid = vec![0.0; y.len()];
+        let mut grad = vec![0.0; s.len()];
+        for _ in 0..iters {
+            op.forward_into(s, &mut resid, &mut scratch);
+            for (r, &b) in resid.iter_mut().zip(y) {
+                *r -= b;
+            }
+            op.adjoint_into(&resid, &mut grad, &mut scratch);
+            let mut max_step = 0.0f64;
+            for &i in &support {
+                s[i] -= grad[i];
+                max_step = max_step.max(grad[i].abs());
+            }
+            if max_step < 1e-12 {
+                break;
+            }
+        }
+    }
+
+    /// Solves `y` through `op` without and with the refit, and runs the
+    /// operator loop from the unrefitted point. The refit contracts fast
+    /// at 90% sampling, so both converge well inside the budget and must
+    /// land on the same point.
+    fn assert_debias_matches_operator_loop<O: SensingOperator>(op: &O, y: &[f64]) {
+        let cfg = FistaConfig {
+            lambda: 1e-3,
+            debias_iters: 500,
+            ..FistaConfig::default()
+        };
+        let raw = fista(
+            op,
+            y,
+            &FistaConfig {
+                debias_iters: 0,
+                ..cfg
+            },
+        );
+        assert!(raw.support_size >= 2, "support {}", raw.support_size);
+        let refit = fista(op, y, &cfg);
+        assert_eq!(refit.iterations, raw.iterations);
+        assert_eq!(refit.support_size, raw.support_size);
+        let mut looped = raw.coefficients.clone();
+        debias_through_operator(op, y, &mut looped, cfg.debias_iters);
+        for (i, (a, b)) in refit.coefficients.iter().zip(&looped).enumerate() {
+            assert!((a - b).abs() < 1e-12, "coef {i}: atoms {a} vs loop {b}");
+        }
+    }
+
+    #[test]
+    fn debias_on_atom_columns_matches_the_operator_loop() {
+        let dct = Dct2d::new(24, 40);
+        // 30 spikes, so the refit has a support of at least 30 to fit.
+        let spikes: Vec<(usize, f64)> = (0..30)
+            .map(|j| (j * 37 % 400, 2.0 - 0.05 * j as f64))
+            .collect();
+        let (_, full) = sparse_signal(&dct, &spikes);
+        let mut rng = StdRng::seed_from_u64(31);
+        let pattern = SamplePattern::random(24, 40, 0.9, &mut rng);
+        let y = pattern.gather(&full);
+        assert_debias_matches_operator_loop(&MeasurementOperator::new(&dct, &pattern), &y);
+
+        use crate::dct::DctNd;
+        use crate::measure::{MeasurementOperatorNd, NdSamplePattern};
+        let dims = [3usize, 4, 5, 6];
+        let dct = DctNd::new(&dims);
+        let mut coeffs = vec![0.0; dct.len()];
+        for j in 0..30 {
+            coeffs[j * 11 % 360] = 1.5 - 0.04 * j as f64;
+        }
+        let full = dct.inverse(&coeffs);
+        let pattern = NdSamplePattern::random(&dims, 0.9, &mut rng);
+        let y = pattern.gather(&full);
+        assert_debias_matches_operator_loop(&MeasurementOperatorNd::new(&dct, &pattern), &y);
+    }
+
+    #[test]
+    fn exit_reports_convergence_or_the_cap() {
+        let dct = Dct2d::new(8, 8);
+        let (_, full) = sparse_signal(&dct, &[(5, 1.0)]);
+        let mut rng = StdRng::seed_from_u64(5);
+        let pattern = SamplePattern::random(8, 8, 0.5, &mut rng);
+        let y = pattern.gather(&full);
+        let op = MeasurementOperator::new(&dct, &pattern);
+        let done = fista(&op, &y, &FistaConfig::default());
+        assert_eq!(done.exit, FistaExit::Converged);
+        assert!(done.iterations < FistaConfig::default().max_iter);
+        let capped = fista(
+            &op,
+            &y,
+            &FistaConfig {
+                max_iter: 3,
+                ..FistaConfig::default()
+            },
+        );
+        assert_eq!(capped.exit, FistaExit::IterationCap);
+        assert_eq!(capped.iterations, 3);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! momentum is measurable (`recovery_ablation` bench) and so users with
 //! pathological operators have the unconditionally-monotone option.
 
-use crate::fista::{soft_threshold, FistaConfig, FistaResult};
+use crate::fista::{soft_threshold, FistaConfig, FistaExit, FistaResult};
 use crate::measure::MeasurementOperator;
 use crate::workspace::Workspace;
 
@@ -49,6 +49,7 @@ pub fn ista_with(
 
     ws.s.fill(0.0);
     let mut iterations = 0;
+    let mut exit = FistaExit::IterationCap;
     for it in 0..cfg.max_iter {
         iterations = it + 1;
         op.forward_into(&ws.s, &mut ws.az, &mut ws.op);
@@ -65,6 +66,7 @@ pub fn ista_with(
             ws.s[i] = next;
         }
         if max_delta <= cfg.tol * max_mag.max(1e-12) {
+            exit = FistaExit::Converged;
             break;
         }
     }
@@ -81,6 +83,7 @@ pub fn ista_with(
     FistaResult {
         coefficients: ws.s.clone(),
         iterations,
+        exit,
         residual_norm,
         support_size,
     }

@@ -12,10 +12,11 @@
 //!   which covers the paper's 50/100/144/225 grid sides natively — and
 //!   Bluestein chirp-z only for large-prime lengths;
 //! * [`plan_cache`] — process-wide per-size plan cache so concurrent
-//!   jobs at the same grid side share twiddle/chirp tables, each on
-//!   the cheapest decomposition for its size;
+//!   jobs at the same grid side share twiddle/chirp tables (each on
+//!   the cheapest decomposition for its size) and DCT synthesis tables;
 //! * [`measure`] — random sampling patterns and the measurement operator
-//!   `A = C Ψ` with its adjoint;
+//!   `A = C Ψ` with its adjoint (the 2-D one evaluates only the sampled
+//!   points where that costs less than a full transform);
 //! * [`fista`] — FISTA solver for the l1 (LASSO) recovery program, the
 //!   workhorse reconstruction routine;
 //! * [`omp`] — orthogonal matching pursuit, the greedy alternative used in
@@ -66,7 +67,7 @@ pub mod workspace;
 pub mod prelude {
     pub use crate::analysis::{dct_energy_fraction_99, energy_fraction, keep_top_k};
     pub use crate::dct::{Dct1d, Dct2d, DctNd, FAST_DCT_THRESHOLD};
-    pub use crate::fista::{fista, fista_with, FistaConfig, FistaResult};
+    pub use crate::fista::{fista, fista_with, FistaConfig, FistaExit, FistaResult};
     pub use crate::ista::{ista, ista_with};
     pub use crate::measure::{
         MeasurementOperator, MeasurementOperatorNd, NdSamplePattern, SamplePattern, SensingOperator,

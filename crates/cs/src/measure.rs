@@ -11,11 +11,51 @@
 //! [`Dct2d`] with a [`SamplePattern`] (the paper's p = 1 grids), and
 //! [`MeasurementOperatorNd`] couples a [`DctNd`] with an
 //! [`NdSamplePattern`] (p >= 2 QAOA tensors and VQE parameter scans).
+//!
+//! # Cost model
+//!
+//! The N-D operator synthesizes (or analyzes) the whole tensor and
+//! gathers (or scatters) the `m` samples: two full transforms per FISTA
+//! iteration, whatever `m` is.
+//!
+//! The 2-D operator evaluates only the sampled points where that is
+//! cheaper. With `x[r][c] = Σ_k D[k][r]·T[k][c]`, where `D` is the
+//! `rows x rows` orthonormal DCT matrix of axis 0 and `T` the
+//! coefficient rows after the axis-1 inverse, and with `kmax` one past
+//! the last nonzero coefficient row:
+//!
+//! * `A s` runs the axis-1 pass on rows `0..kmax` only, then `m·kmax`
+//!   multiply-adds (against `T` stored transposed, so each sum reads
+//!   two contiguous runs);
+//! * `Aᵀ y` accumulates `U[k][c_i] += y_i·D[k][r_i]` (`m·rows`
+//!   multiply-adds, into `U` stored transposed so each sample adds one
+//!   contiguous table row), then runs the axis-1 forward pass over `U`.
+//!
+//! Neither runs an axis-0 pass, which costs about `n·rows`
+//! multiply-adds on the dense kernel and `AXIS0_FFT_COST·n·log2(rows)`
+//! on an FFT kernel. An apply whose `m·k` (`k = kmax` forward,
+//! `k = rows` adjoint) exceeds that runs the full transform plus a
+//! gather or scatter instead. On large, densely sampled grids (144x225
+//! at 30%, say) every adjoint and the forwards of dense early iterates
+//! therefore keep the full-transform cost. FISTA's sparse iterates
+//! keep `kmax` small (8–12 of 50 rows on the paper's 50x100 grid once
+//! the support settles), so at 10% sampling there the forward costs
+//! about a fifth and the adjoint about 60% of a full transform. The
+//! table, `D` transposed, comes from `plan_cache::synthesis_matrix`,
+//! shared by every operator of the same row count.
 
 use crate::dct::{Dct2d, DctNd};
 use crate::workspace::{OperatorScratch, TransformScratch};
 use rand::seq::SliceRandom;
 use rand::Rng;
+use std::sync::Arc;
+
+/// Multiply-adds per grid element that one axis-0 pass of an FFT
+/// kernel is worth, per factor of two in its length, as the sample-point
+/// sums count them. Fit to where the two paths cross on 32x40, 50x100,
+/// 100x50, 128x128 and 144x225 (single thread, x86-64); set low so that a
+/// sample-point apply is taken only where it is clearly the cheaper.
+const AXIS0_FFT_COST: f64 = 3.0;
 
 /// The abstract sensing operator `A = C Ψ` the sparse solvers run
 /// against: an orthonormal synthesis transform composed with a row
@@ -175,10 +215,23 @@ impl SamplePattern {
 }
 
 /// The forward/adjoint measurement operator used by the sparse solvers.
+///
+/// Evaluates the sampled points directly instead of synthesizing the
+/// whole grid where that is cheaper (see the module's cost model); the
+/// result equals [`Dct2d::inverse_into`] + gather and scatter +
+/// [`Dct2d::forward_into`] up to rounding.
 #[derive(Clone, Debug)]
 pub struct MeasurementOperator<'a> {
     dct: &'a Dct2d,
     pattern: &'a SamplePattern,
+    /// Axis-0 synthesis table, `table[r*rows + k] = D[k][r]`.
+    table: Arc<[f64]>,
+    /// `(row, col)` of each sample, in pattern order.
+    coords: Vec<(usize, usize)>,
+    /// Most coefficient rows a sample-point apply handles: `m` times
+    /// this is the axis-0 pass's cost. Applies over more rows run the
+    /// full transform.
+    sample_rows: usize,
 }
 
 impl<'a> MeasurementOperator<'a> {
@@ -190,7 +243,26 @@ impl<'a> MeasurementOperator<'a> {
     pub fn new(dct: &'a Dct2d, pattern: &'a SamplePattern) -> Self {
         assert_eq!(dct.rows(), pattern.rows(), "grid rows mismatch");
         assert_eq!(dct.cols(), pattern.cols(), "grid cols mismatch");
-        MeasurementOperator { dct, pattern }
+        let rows = dct.rows() as f64;
+        // Column kernel id 0 is the dense matrix kernel.
+        let axis0_cost = if dct.kernel_kinds().1 == 0 {
+            rows
+        } else {
+            AXIS0_FFT_COST * rows.log2()
+        } * dct.len() as f64;
+        MeasurementOperator {
+            dct,
+            pattern,
+            table: crate::plan_cache::synthesis_matrix(dct.rows()),
+            coords: pattern.coords(),
+            sample_rows: (axis0_cost / pattern.num_samples().max(1) as f64) as usize,
+        }
+    }
+
+    /// Whether some apply runs the full transform, so its scratch needs
+    /// the column pass's buffers.
+    fn uses_full_transform(&self) -> bool {
+        self.sample_rows < self.dct.rows()
     }
 
     /// Signal dimension `n = rows * cols`.
@@ -219,12 +291,18 @@ impl<'a> MeasurementOperator<'a> {
     /// loop uses [`Self::forward_into`].
     pub fn forward(&self, s: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.measurement_len()];
-        let mut scratch = OperatorScratch::new(self.dct);
+        let mut scratch = self.make_scratch();
         self.forward_into(s, &mut out, &mut scratch);
         out
     }
 
     /// Zero-allocation `A s`: writes the `m` sampled values into `out`.
+    ///
+    /// Runs the axis-1 inverse on coefficient rows `0..kmax` only (`kmax`
+    /// is one past the last row holding a nonzero), then evaluates each
+    /// sample `(r, c)` as `Σ_{k<kmax} D[k][r]·T[k][c]`; when `kmax`
+    /// rows cost more than the axis-0 pass, synthesizes the grid and
+    /// gathers instead.
     ///
     /// # Panics
     ///
@@ -239,9 +317,31 @@ impl<'a> MeasurementOperator<'a> {
         let TransformScratch::D2(dct_scratch) = &mut scratch.transform else {
             panic!("scratch sized for another transform kind");
         };
-        self.dct.inverse_into(s, &mut scratch.grid, dct_scratch);
-        for (o, &idx) in out.iter_mut().zip(self.pattern.indices().iter()) {
-            *o = scratch.grid[idx];
+        let (rows, cols) = (self.dct.rows(), self.dct.cols());
+        let kmax = s
+            .chunks_exact(cols)
+            .rposition(|row| row.iter().any(|&v| v != 0.0))
+            .map_or(0, |k| k + 1);
+        if kmax > self.sample_rows {
+            self.dct.inverse_into(s, &mut scratch.grid, dct_scratch);
+            for (o, &idx) in out.iter_mut().zip(self.pattern.indices()) {
+                *o = scratch.grid[idx];
+            }
+            return;
+        }
+        if kmax == 0 {
+            out.fill(0.0);
+            return;
+        }
+        let t_t = &mut scratch.grid[..kmax * cols];
+        self.dct
+            .row_pass_into_transposed(&s[..kmax * cols], t_t, dct_scratch, false);
+        for (o, &(r, c)) in out.iter_mut().zip(&self.coords) {
+            let d = &self.table[r * rows..r * rows + kmax];
+            *o = d
+                .iter()
+                .zip(&t_t[c * kmax..(c + 1) * kmax])
+                .fold(0.0, |acc, (w, v)| acc + w * v);
         }
     }
 
@@ -249,13 +349,18 @@ impl<'a> MeasurementOperator<'a> {
     /// gradient (transient-scratch wrapper over [`Self::adjoint_into`]).
     pub fn adjoint(&self, y: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.signal_len()];
-        let mut scratch = OperatorScratch::new(self.dct);
+        let mut scratch = self.make_scratch();
         self.adjoint_into(y, &mut out, &mut scratch);
         out
     }
 
     /// Zero-allocation `A^T y`: writes the `n` coefficient-domain values
     /// into `out`.
+    ///
+    /// Accumulates `U[k][c_i] += y_i·D[k][r_i]` over the samples (into
+    /// `U` stored transposed), then runs the axis-1 forward pass over
+    /// `U`; when `rows` rows cost more than the axis-0 pass, scatters
+    /// and analyzes the grid instead.
     ///
     /// # Panics
     ///
@@ -270,11 +375,25 @@ impl<'a> MeasurementOperator<'a> {
         let TransformScratch::D2(dct_scratch) = &mut scratch.transform else {
             panic!("scratch sized for another transform kind");
         };
-        scratch.grid.fill(0.0);
-        for (&idx, &v) in self.pattern.indices().iter().zip(y.iter()) {
-            scratch.grid[idx] = v;
+        let rows = self.dct.rows();
+        if rows > self.sample_rows {
+            scratch.grid.fill(0.0);
+            for (&idx, &v) in self.pattern.indices().iter().zip(y) {
+                scratch.grid[idx] = v;
+            }
+            self.dct.forward_into(&scratch.grid, out, dct_scratch);
+            return;
         }
-        self.dct.forward_into(&scratch.grid, out, dct_scratch);
+        let u_t = &mut scratch.grid;
+        u_t.fill(0.0);
+        for (&(r, c), &v) in self.coords.iter().zip(y) {
+            let d = &self.table[r * rows..(r + 1) * rows];
+            for (u, &w) in u_t[c * rows..(c + 1) * rows].iter_mut().zip(d) {
+                *u += v * w;
+            }
+        }
+        self.dct
+            .row_pass_from_transposed(u_t, out, dct_scratch, true);
     }
 }
 
@@ -288,11 +407,11 @@ impl SensingOperator for MeasurementOperator<'_> {
     }
 
     fn make_scratch(&self) -> OperatorScratch {
-        OperatorScratch::new(self.dct)
+        OperatorScratch::new_2d(self.dct, self.uses_full_transform())
     }
 
     fn ensure_scratch(&self, scratch: &mut OperatorScratch) {
-        scratch.ensure(self.dct);
+        scratch.ensure(self.dct, self.uses_full_transform());
     }
 
     fn forward_into(&self, s: &[f64], out: &mut [f64], scratch: &mut OperatorScratch) {

@@ -1,5 +1,5 @@
-//! Process-wide cache of FFT-backed DCT plans, keyed by transform
-//! length.
+//! Process-wide cache of FFT-backed DCT plans and DCT synthesis
+//! matrices, keyed by transform length.
 //!
 //! Planning a [`DctPlan`] is much more expensive than applying it: the
 //! radix-2 path precomputes a bit-reversal table and twiddle factors,
@@ -20,16 +20,24 @@
 //! lock-free at apply time (the cache lock is only taken at
 //! construction).
 //!
+//! `synthesis_matrix` returns the `n x n` DCT synthesis table the
+//! same way: the 2-D measurement operator evaluates sample points with
+//! the one of its row count, whichever kernel its transform runs, so a
+//! job builds no table the previous job at the same side built.
+//! [`stats`] counts plan lookups only, so its hits show plan reuse.
+//!
 //! The cache is unbounded by design: entries are keyed by grid side, of
-//! which a deployment sees a handful, and each entry is O(n) floats.
-//! [`clear`] exists for tests and long-lived processes that churn
-//! through many distinct sizes.
+//! which a deployment sees a handful. A plan is O(n) floats and a
+//! matrix O(n²) (166 KB at the paper's 144-point side). [`clear`]
+//! exists for tests and long-lived processes that churn through many
+//! distinct sizes.
 
 use crate::fft::DctPlan;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-/// Counters describing cache effectiveness.
+/// Counters describing plan-cache effectiveness (synthesis matrices
+/// are not counted).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
     /// Plans currently cached.
@@ -42,6 +50,7 @@ pub struct PlanCacheStats {
 
 struct State {
     plans: HashMap<usize, Arc<DctPlan>>,
+    matrices: HashMap<usize, Arc<[f64]>>,
     hits: u64,
     misses: u64,
 }
@@ -58,6 +67,7 @@ fn state() -> &'static Mutex<State> {
     STATE.get_or_init(|| {
         Mutex::new(State {
             plans: HashMap::new(),
+            matrices: HashMap::new(),
             hits: 0,
             misses: 0,
         })
@@ -75,24 +85,57 @@ fn state() -> &'static Mutex<State> {
 ///
 /// Panics if `n == 0` (propagated from [`DctPlan::new`]).
 pub fn plan(n: usize) -> Arc<DctPlan> {
-    {
-        let mut s = lock_state();
-        if let Some(p) = s.plans.get(&n).map(Arc::clone) {
-            s.hits += 1;
-            return p;
-        }
-        s.misses += 1;
-    }
-    // Plan outside the lock: Bluestein planning at large n is slow, and
-    // concurrent first requests for *different* sizes should not
-    // serialize. Concurrent first requests for the same size may both
-    // plan; the first insert wins and the duplicate is dropped.
-    let fresh = Arc::new(DctPlan::new(n));
-    let mut s = lock_state();
-    Arc::clone(s.plans.entry(n).or_insert(fresh))
+    cached(n, |s| &mut s.plans, true, || Arc::new(DctPlan::new(n)))
 }
 
-/// Snapshot of the cache counters.
+/// Returns the shared row-major `n x n` synthesis matrix of the
+/// orthonormal DCT for length `n` (`m[i*n + k]` is the weight of
+/// coefficient `k` in sample `i`), building it on first use.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub(crate) fn synthesis_matrix(n: usize) -> Arc<[f64]> {
+    cached(
+        n,
+        |s| &mut s.matrices,
+        false,
+        || crate::dct::synthesis_matrix(n).into(),
+    )
+}
+
+/// Looks `n` up in the map `map` selects, building the entry with
+/// `build` on a miss. A `counted` lookup feeds the hit/miss counters.
+fn cached<T: ?Sized>(
+    n: usize,
+    map: fn(&mut State) -> &mut HashMap<usize, Arc<T>>,
+    counted: bool,
+    build: impl FnOnce() -> Arc<T>,
+) -> Arc<T> {
+    {
+        let mut s = lock_state();
+        let hit = map(&mut s).get(&n).map(Arc::clone);
+        if counted {
+            if hit.is_some() {
+                s.hits += 1;
+            } else {
+                s.misses += 1;
+            }
+        }
+        if let Some(p) = hit {
+            return p;
+        }
+    }
+    // Build outside the lock: Bluestein planning at large n is slow,
+    // and concurrent first requests for *different* sizes should not
+    // serialize. Concurrent first requests for the same size may both
+    // build; the first insert wins and the duplicate is dropped.
+    let fresh = build();
+    let mut s = lock_state();
+    Arc::clone(map(&mut s).entry(n).or_insert(fresh))
+}
+
+/// Snapshot of the plan counters.
 pub fn stats() -> PlanCacheStats {
     let s = lock_state();
     PlanCacheStats {
@@ -102,11 +145,12 @@ pub fn stats() -> PlanCacheStats {
     }
 }
 
-/// Drops every cached plan and resets the counters. Outstanding
-/// `Arc<DctPlan>` handles stay valid; subsequent lookups replan.
+/// Drops every cached plan and matrix and resets the counters.
+/// Outstanding handles stay valid; subsequent lookups rebuild.
 pub fn clear() {
     let mut s = lock_state();
     s.plans.clear();
+    s.matrices.clear();
     s.hits = 0;
     s.misses = 0;
 }
@@ -129,6 +173,14 @@ mod tests {
         let b = plan(1024);
         assert_eq!(a.len(), 2048);
         assert_eq!(b.len(), 1024);
+    }
+
+    #[test]
+    fn same_length_shares_one_matrix() {
+        let a = synthesis_matrix(37);
+        let b = synthesis_matrix(37);
+        assert!(Arc::ptr_eq(&a, &b), "same-size matrices must be shared");
+        assert_eq!(a.len(), 37 * 37);
     }
 
     #[test]

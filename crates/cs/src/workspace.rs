@@ -1,7 +1,7 @@
 //! Reusable scratch buffers for the solver stack.
 //!
-//! Every FISTA iteration applies the measurement operator (a separable
-//! DCT + gather) and its adjoint (scatter + DCT), each needing full-grid
+//! Every FISTA iteration applies the measurement operator (transform
+//! passes + sampling) and its adjoint, each needing full-grid
 //! and measurement-sized temporaries. The seed implementation allocated
 //! ~5 fresh `Vec`s per iteration; a [`Workspace`] owns all of them, so
 //! the `*_with` solver entry points ([`crate::fista::fista_with`],
@@ -32,10 +32,12 @@ pub(crate) enum TransformScratch {
 /// Transform identity an [`OperatorScratch`] was sized for. The dense
 /// kernel and each FFT decomposition (radix-2 / mixed-radix /
 /// Bluestein) of the same grid need differently shaped scratch, so the
-/// per-axis kernel ids are part of the key alongside the extents.
+/// per-axis kernel ids are part of the key alongside the extents. A 2-D
+/// key also records whether the scratch holds the column pass's buffers
+/// (`true`) or serves row passes only.
 #[derive(Debug, PartialEq, Eq)]
 enum ScratchKey {
-    D2(usize, usize, (u8, u8)),
+    D2(usize, usize, (u8, u8), bool),
     Nd(Vec<usize>, Vec<u8>),
 }
 
@@ -44,8 +46,9 @@ enum ScratchKey {
 /// internal scratch.
 #[derive(Debug)]
 pub struct OperatorScratch {
-    /// Full-grid buffer (`signal_len` entries) holding `Ψ s` or the
-    /// scattered residual.
+    /// Full-grid buffer (`signal_len` entries): `Ψ s` or the scattered
+    /// residual for a full transform, the transformed coefficient rows
+    /// or the transposed accumulator for a 2-D sample-point apply.
     pub(crate) grid: Vec<f64>,
     /// Separable-transform scratch sized for the operator's grid.
     pub(crate) transform: TransformScratch,
@@ -54,12 +57,23 @@ pub struct OperatorScratch {
 }
 
 impl OperatorScratch {
-    /// Builds scratch sized for `dct`'s grid.
+    /// Builds scratch sized for `dct`'s grid, for every apply on it.
     pub fn new(dct: &Dct2d) -> Self {
+        OperatorScratch::new_2d(dct, true)
+    }
+
+    /// Builds scratch sized for `dct`'s grid; without `full_transform`
+    /// it serves the row passes of sample-point applies only.
+    pub(crate) fn new_2d(dct: &Dct2d, full_transform: bool) -> Self {
+        let transform = if full_transform {
+            dct.make_scratch()
+        } else {
+            dct.make_row_scratch()
+        };
         OperatorScratch {
             grid: vec![0.0; dct.len()],
-            transform: TransformScratch::D2(dct.make_scratch()),
-            key: ScratchKey::D2(dct.rows(), dct.cols(), dct.kernel_kinds()),
+            transform: TransformScratch::D2(transform),
+            key: ScratchKey::D2(dct.rows(), dct.cols(), dct.kernel_kinds(), full_transform),
         }
     }
 
@@ -72,11 +86,19 @@ impl OperatorScratch {
         }
     }
 
-    /// Rebuilds for a different 2-D transform (grid size or kernel) if
+    /// Rebuilds for a different 2-D transform (grid size or kernel), or
+    /// for a full transform when the scratch serves row passes only, if
     /// needed.
-    pub(crate) fn ensure(&mut self, dct: &Dct2d) {
-        if self.key != ScratchKey::D2(dct.rows(), dct.cols(), dct.kernel_kinds()) {
-            *self = OperatorScratch::new(dct);
+    pub(crate) fn ensure(&mut self, dct: &Dct2d, full_transform: bool) {
+        let fits = match self.key {
+            ScratchKey::D2(rows, cols, kinds, full) => {
+                (rows, cols, kinds) == (dct.rows(), dct.cols(), dct.kernel_kinds())
+                    && (full || !full_transform)
+            }
+            ScratchKey::Nd(..) => false,
+        };
+        if !fits {
+            *self = OperatorScratch::new_2d(dct, full_transform);
         }
     }
 
@@ -112,7 +134,8 @@ pub struct Workspace {
     pub(crate) az: Vec<f64>,
     /// Residual `A s - y` — `m`.
     pub(crate) resid: Vec<f64>,
-    /// OMP: selected atom columns, flattened `k * m`.
+    /// Atom columns `A e_j`, flattened `k * m`: OMP's selected atoms, or
+    /// the support FISTA's debias refits on.
     pub(crate) atoms: Vec<f64>,
     /// OMP: Gram matrix of the selected atoms, `k * k`.
     pub(crate) gram: Vec<f64>,

@@ -68,8 +68,8 @@ fn alloc_count() -> usize {
     THREAD_ALLOC_CALLS.with(Cell::get)
 }
 
-/// A 64x64 problem with a handful of DCT spikes, sampled at 25%.
-fn setup() -> (Dct2d, SamplePattern, Vec<f64>) {
+/// A 64x64 problem with a handful of DCT spikes, sampled at `fraction`.
+fn setup(fraction: f64) -> (Dct2d, SamplePattern, Vec<f64>) {
     let dct = Dct2d::new(64, 64);
     assert!(dct.is_fast(), "64x64 must take the FFT path");
     let mut coeffs = vec![0.0; 64 * 64];
@@ -84,7 +84,7 @@ fn setup() -> (Dct2d, SamplePattern, Vec<f64>) {
     }
     let full = dct.inverse(&coeffs);
     let mut rng = StdRng::seed_from_u64(42);
-    let pattern = SamplePattern::random(64, 64, 0.25, &mut rng);
+    let pattern = SamplePattern::random(64, 64, fraction, &mut rng);
     let y = pattern.gather(&full);
     (dct, pattern, y)
 }
@@ -96,7 +96,7 @@ fn warmed_fista_solve_is_allocation_free_modulo_result() {
     std::env::set_var("OSCAR_THREADS", "1");
     assert_eq!(oscar_par::max_threads(), 1);
 
-    let (dct, pattern, y) = setup();
+    let (dct, pattern, y) = setup(0.25);
     let op = MeasurementOperator::new(&dct, &pattern);
     // Fixed iteration budget so the measured work is substantial.
     let cfg = FistaConfig {
@@ -125,11 +125,41 @@ fn warmed_fista_solve_is_allocation_free_modulo_result() {
 }
 
 #[test]
+fn warmed_fista_solve_with_full_transform_applies_is_allocation_free() {
+    // At 50% the adjoint's per-sample sums cost more than the axis-0
+    // pass, so the operator falls back to the full transform there (and
+    // in the forward while the iterate is dense): that scratch must be
+    // threaded through Workspace too.
+    std::env::set_var("OSCAR_THREADS", "1");
+    assert_eq!(oscar_par::max_threads(), 1);
+
+    let (dct, pattern, y) = setup(0.5);
+    let op = MeasurementOperator::new(&dct, &pattern);
+    let cfg = FistaConfig {
+        max_iter: 40,
+        tol: 0.0,
+        debias_iters: 10,
+        ..FistaConfig::default()
+    };
+    let mut ws = Workspace::for_operator(&op);
+    let _ = fista_with(&op, &y, &cfg, &mut ws);
+
+    let before = alloc_count();
+    let _ = fista_with(&op, &y, &cfg, &mut ws);
+    let during = alloc_count() - before;
+    assert!(
+        during <= 4,
+        "steady-state FISTA on full-transform applies made {during} allocations"
+    );
+}
+
+#[test]
 fn warmed_fista_solve_on_mixed_radix_grid_is_allocation_free() {
     // The paper's p=1 grid: both sides are non-power-of-two and
     // 2·3·5-smooth, so this pins that the mixed-radix kernel's scratch
-    // (Stockham ping-pong buffer, gather block) is fully threaded
-    // through Workspace and never allocated at apply time.
+    // (Stockham ping-pong buffer, gather block), the sample-point
+    // operator's row buffers and the debias refit's atom columns are
+    // fully threaded through Workspace and never allocated at apply time.
     std::env::set_var("OSCAR_THREADS", "1");
     assert_eq!(oscar_par::max_threads(), 1);
 
@@ -253,7 +283,7 @@ fn warmed_multiworker_parallel_apply_allocates_zero_words() {
 #[test]
 fn warmed_ista_solve_is_allocation_free_modulo_result() {
     std::env::set_var("OSCAR_THREADS", "1");
-    let (dct, pattern, y) = setup();
+    let (dct, pattern, y) = setup(0.25);
     let op = MeasurementOperator::new(&dct, &pattern);
     let cfg = FistaConfig {
         max_iter: 60,
@@ -276,7 +306,7 @@ fn warmed_ista_solve_is_allocation_free_modulo_result() {
 #[test]
 fn workspace_reuse_across_patterns_stays_quiet_once_sized() {
     std::env::set_var("OSCAR_THREADS", "1");
-    let (dct, _, _) = setup();
+    let (dct, _, _) = setup(0.25);
     let cfg = FistaConfig {
         max_iter: 30,
         tol: 0.0,

@@ -394,3 +394,174 @@ mod dctnd_bit_identity {
         }
     }
 }
+
+/// The 2-D [`MeasurementOperator`] evaluates only the sampled points
+/// (a row pass on the nonzero coefficient rows, then per-sample sums
+/// against the axis-0 table). These tests pin it to the plain
+/// definition — a full [`Dct2d`] inverse then a gather for `A s`, a
+/// scatter then a full forward for `Aᵀ y` — on every kernel kind, on
+/// odd, skinny and parallel-sized grids, and at the coefficient
+/// patterns that decide how many rows the forward transforms.
+mod sampled_operator {
+    use oscar_cs::dct::Dct2d;
+    use oscar_cs::measure::{MeasurementOperator, SamplePattern, SensingOperator};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Grids covering every row-kernel/column-kernel pairing the
+    /// operator meets.
+    fn grids() -> Vec<(&'static str, Dct2d)> {
+        vec![
+            ("dense 12x20", Dct2d::new(12, 20)),
+            ("dense odd rows 17x40", Dct2d::new(17, 40)),
+            ("mixed-radix 50x100", Dct2d::new(50, 100)),
+            ("fft odd rows 45x64", Dct2d::new(45, 64)),
+            ("rows > cols 100x50", Dct2d::new(100, 50)),
+            ("bluestein 37x41", Dct2d::new_bluestein(37, 41)),
+            ("forced dense 40x48", Dct2d::new_dense(40, 48)),
+            ("parallel 144x225", Dct2d::new(144, 225)),
+        ]
+    }
+
+    /// A 10% and a 50% random pattern, a single sample, and full
+    /// sampling. On the FFT grids the densest two run some applies (all,
+    /// for full sampling) through the full transform instead of the
+    /// sample-point sums.
+    fn patterns(rows: usize, cols: usize, rng: &mut StdRng) -> Vec<SamplePattern> {
+        let n = rows * cols;
+        vec![
+            SamplePattern::random(rows, cols, 0.1, rng),
+            SamplePattern::random(rows, cols, 0.5, rng),
+            SamplePattern::from_indices(rows, cols, vec![rng.gen_range(0..n)]),
+            SamplePattern::from_indices(rows, cols, (0..n).collect()),
+        ]
+    }
+
+    /// Coefficient grids: dense random, all zero (no row to transform),
+    /// nonzero only in the last row (every row must be transformed), a
+    /// typical low-frequency sparse iterate, and a mix of `-0.0` rows
+    /// with subnormal entries (`-0.0` is zero, a subnormal is not).
+    fn coefficient_sets(
+        rows: usize,
+        cols: usize,
+        rng: &mut StdRng,
+    ) -> Vec<(&'static str, Vec<f64>)> {
+        let n = rows * cols;
+        let dense: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let mut last_row = vec![0.0; n];
+        for v in &mut last_row[(rows - 1) * cols..] {
+            *v = rng.gen_range(-2.0..2.0);
+        }
+        let mut sparse = vec![0.0; n];
+        for _ in 0..12 {
+            let (k, l) = (rng.gen_range(0..rows.min(4)), rng.gen_range(0..cols.min(9)));
+            sparse[k * cols + l] = rng.gen_range(-2.0..2.0);
+        }
+        let mut tiny = vec![-0.0; n];
+        let mid = rows / 2;
+        for l in (0..cols).step_by(3) {
+            tiny[mid * cols + l] = rng.gen_range(-1.5e-308..1.5e-308);
+        }
+        vec![
+            ("dense", dense),
+            ("all zero", vec![0.0; n]),
+            ("last row only", last_row),
+            ("sparse low rows", sparse),
+            ("-0.0/subnormal mix", tiny),
+        ]
+    }
+
+    fn forward_reference(dct: &Dct2d, pattern: &SamplePattern, s: &[f64]) -> Vec<f64> {
+        let mut grid = vec![0.0; dct.len()];
+        dct.inverse_into(s, &mut grid, &mut dct.make_scratch());
+        pattern.gather(&grid)
+    }
+
+    fn adjoint_reference(dct: &Dct2d, pattern: &SamplePattern, y: &[f64]) -> Vec<f64> {
+        let mut grid = vec![0.0; dct.len()];
+        for (&i, &v) in pattern.indices().iter().zip(y) {
+            grid[i] = v;
+        }
+        let mut out = vec![0.0; dct.len()];
+        dct.forward_into(&grid, &mut out, &mut dct.make_scratch());
+        out
+    }
+
+    /// `got` equals `want` to 1e-12 relative to `want`'s largest entry,
+    /// with a floor of 64 subnormal steps so rounding among subnormals
+    /// passes while a dropped subnormal row does not.
+    fn assert_close(got: &[f64], want: &[f64], what: &str) {
+        let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+        let err = got
+            .iter()
+            .zip(want)
+            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+        let floor = 64.0 * f64::from_bits(1);
+        assert!(
+            err <= 1e-12 * scale + floor,
+            "{what}: max error {err:e} against scale {scale:e}"
+        );
+    }
+
+    #[test]
+    fn forward_matches_inverse_then_gather() {
+        let mut rng = StdRng::seed_from_u64(201);
+        for (name, dct) in grids() {
+            let (rows, cols) = (dct.rows(), dct.cols());
+            for pattern in patterns(rows, cols, &mut rng) {
+                let op = MeasurementOperator::new(&dct, &pattern);
+                let mut scratch = op.make_scratch();
+                let mut out = vec![f64::NAN; pattern.num_samples()];
+                for (kind, s) in coefficient_sets(rows, cols, &mut rng) {
+                    op.forward_into(&s, &mut out, &mut scratch);
+                    let what = format!("{name}, m={}, {kind}", pattern.num_samples());
+                    assert_close(&out, &forward_reference(&dct, &pattern, &s), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjoint_matches_scatter_then_forward() {
+        let mut rng = StdRng::seed_from_u64(202);
+        for (name, dct) in grids() {
+            let (rows, cols) = (dct.rows(), dct.cols());
+            for pattern in patterns(rows, cols, &mut rng) {
+                let op = MeasurementOperator::new(&dct, &pattern);
+                let mut scratch = op.make_scratch();
+                let mut out = vec![f64::NAN; dct.len()];
+                let m = pattern.num_samples();
+                let random: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                for (kind, y) in [("random", random), ("zero", vec![0.0; m])] {
+                    op.adjoint_into(&y, &mut out, &mut scratch);
+                    let what = format!("{name}, m={m}, {kind}");
+                    assert_close(&out, &adjoint_reference(&dct, &pattern, &y), &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adjoint_is_the_transpose_of_forward() {
+        let mut rng = StdRng::seed_from_u64(203);
+        for (name, dct) in grids() {
+            let (rows, cols) = (dct.rows(), dct.cols());
+            for pattern in patterns(rows, cols, &mut rng) {
+                let op = MeasurementOperator::new(&dct, &pattern);
+                let s: Vec<f64> = (0..dct.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let y: Vec<f64> = (0..pattern.num_samples())
+                    .map(|_| rng.gen_range(-1.0..1.0))
+                    .collect();
+                let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(u, v)| u * v).sum::<f64>();
+                let lhs = dot(&op.forward(&s), &y);
+                let rhs = dot(&s, &op.adjoint(&y));
+                let scale = dot(&s, &s).sqrt() * dot(&y, &y).sqrt();
+                assert!(
+                    (lhs - rhs).abs() <= 1e-12 * scale,
+                    "{name}, m={}: <As,y> {lhs} vs <s,A^T y> {rhs}",
+                    pattern.num_samples()
+                );
+            }
+        }
+    }
+}

@@ -41,7 +41,7 @@ use oscar_core::reconstruct::Reconstructor;
 use oscar_core::usecases::optimizer_debug::{
     optimize_on_reconstruction, optimize_on_reconstruction_nd,
 };
-use oscar_cs::fista::FistaConfig;
+use oscar_cs::fista::{FistaConfig, FistaExit};
 use oscar_obs::span::{with_stage, JobFrame, Stage};
 use oscar_problems::ising::IsingProblem;
 use oscar_problems::workload::{Molecule, ProblemInstance};
@@ -56,6 +56,20 @@ fn stage_metrics() -> &'static [oscar_obs::Histogram; oscar_obs::span::STAGE_COU
     METRICS.get_or_init(|| {
         let registry = oscar_obs::Registry::global();
         Stage::ALL.map(|stage| registry.histogram(&format!("stage.{}_us", stage.as_str())))
+    })
+}
+
+/// Solver telemetry, resolved once: `fista.iterations` (histogram of
+/// iterations per job) and `fista.cap_exits` (jobs whose FISTA solve
+/// stopped at its iteration cap instead of converging).
+fn fista_metrics() -> &'static (oscar_obs::Histogram, oscar_obs::Counter) {
+    static METRICS: OnceLock<(oscar_obs::Histogram, oscar_obs::Counter)> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let registry = oscar_obs::Registry::global();
+        (
+            registry.histogram("fista.iterations"),
+            registry.counter("fista.cap_exits"),
+        )
     })
 }
 
@@ -226,7 +240,8 @@ pub fn run_job(spec: &JobSpec, cache: Option<&LandscapeCache>) -> JobResult {
     );
 
     let reconstructor = Reconstructor::new(spec.fista);
-    let (reconstruction, nrmse, samples_used, solver_iterations) = match truth.as_ref() {
+    let (reconstruction, nrmse, samples_used, solver_iterations, solver_exit) = match truth.as_ref()
+    {
         ShapedLandscape::Grid2d(l) => {
             let report = with_stage(Stage::Reconstruction, || {
                 reconstructor.reconstruct_fraction_seeded(l, spec.fraction, spec.seed)
@@ -236,6 +251,7 @@ pub fn run_job(spec: &JobSpec, cache: Option<&LandscapeCache>) -> JobResult {
                 report.nrmse,
                 report.samples_used,
                 report.solver_iterations,
+                report.solver_exit,
             )
         }
         ShapedLandscape::Tensor(l) => {
@@ -247,9 +263,15 @@ pub fn run_job(spec: &JobSpec, cache: Option<&LandscapeCache>) -> JobResult {
                 report.nrmse,
                 report.samples_used,
                 report.solver_iterations,
+                report.solver_exit,
             )
         }
     };
+    let (iterations_hist, cap_exits) = fista_metrics();
+    iterations_hist.record(solver_iterations as u64);
+    if solver_exit == FistaExit::IterationCap {
+        cap_exits.inc();
+    }
 
     let (best_point, best_value) = with_stage(Stage::Descent, || {
         match (spec.descent.optimizer(spec.seed), &reconstruction) {

@@ -136,3 +136,26 @@ fn cache_class_counters_account_for_batch_traffic() {
         "the batch itself must have seen cache reuse"
     );
 }
+
+/// Every job records its FISTA iteration count, and a solve that stops
+/// at its iteration cap also bumps `fista.cap_exits`.
+#[test]
+fn fista_metrics_record_iterations_and_cap_exits() {
+    let registry = Registry::global();
+    let iterations = registry.histogram("fista.iterations");
+    let cap_exits = registry.counter("fista.cap_exits");
+    let (count0, sum0, caps0) = (iterations.count(), iterations.sum(), cap_exits.get());
+
+    let first = oscar_runtime::job::run_job(&batch_specs()[0], None);
+    let mut capped_spec = batch_specs()[1].clone();
+    capped_spec.fista.max_iter = 2;
+    let capped = oscar_runtime::job::run_job(&capped_spec, None);
+
+    assert_eq!(capped.solver_iterations, 2);
+    assert!(iterations.count() - count0 >= 2);
+    assert!(
+        iterations.sum() - sum0 >= (first.solver_iterations + 2) as u64,
+        "both jobs' iterations must land in the histogram"
+    );
+    assert!(cap_exits.get() - caps0 >= 1, "the capped job must count");
+}
