@@ -159,3 +159,19 @@ fn fista_metrics_record_iterations_and_cap_exits() {
     );
     assert!(cap_exits.get() - caps0 >= 1, "the capped job must count");
 }
+
+/// Every job of the noisy ZNE batch converges under the default
+/// `FistaConfig`: none stops at the iteration cap.
+#[test]
+fn noisy_zne_batch_converges_under_default_fista() {
+    for spec in batch_specs() {
+        assert_eq!(spec.fista, oscar_cs::fista::FistaConfig::default());
+        let result = oscar_runtime::job::run_job(&spec, None);
+        assert!(
+            result.solver_iterations < spec.fista.max_iter,
+            "job seed {} stopped at the {}-iteration cap",
+            spec.seed,
+            spec.fista.max_iter
+        );
+    }
+}
