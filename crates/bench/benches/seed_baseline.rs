@@ -127,7 +127,7 @@ mod seed_impl {
         lambda_rel: f64,
         max_iter: usize,
         tol: f64,
-        debias_iters: usize,
+        debias_steps: usize,
     ) -> Vec<f64> {
         let n = dct.len();
         let forward = |s: &[f64]| -> Vec<f64> {
@@ -190,7 +190,7 @@ mod seed_impl {
             .map(|(i, _)| i)
             .collect();
         if !support.is_empty() {
-            for _ in 0..debias_iters {
+            for _ in 0..debias_steps {
                 let az = forward(&s);
                 let resid: Vec<f64> = az.iter().zip(y.iter()).map(|(a, b)| a - b).collect();
                 let grad = adjoint(&resid);

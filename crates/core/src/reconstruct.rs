@@ -53,6 +53,9 @@ pub struct ReconstructionReport {
     pub solver_iterations: usize,
     /// Why FISTA stopped: converged, or ran into its iteration cap.
     pub solver_exit: FistaExit,
+    /// Whether the support was refitted by exact least squares
+    /// ([`FistaResult::refit`]); `false` when the refit was skipped.
+    pub solver_refit: bool,
 }
 
 /// The outcome of an N-D reconstruction experiment against known ground
@@ -71,6 +74,9 @@ pub struct NdReconstructionReport {
     pub solver_iterations: usize,
     /// Why FISTA stopped: converged, or ran into its iteration cap.
     pub solver_exit: FistaExit,
+    /// Whether the support was refitted by exact least squares
+    /// ([`FistaResult::refit`]); `false` when the refit was skipped.
+    pub solver_refit: bool,
 }
 
 impl Reconstructor {
@@ -181,6 +187,7 @@ impl Reconstructor {
             nrmse: err,
             solver_iterations: sol.iterations,
             solver_exit: sol.exit,
+            solver_refit: sol.refit,
         }
     }
 
@@ -267,6 +274,7 @@ impl Reconstructor {
             nrmse: err,
             solver_iterations: sol.iterations,
             solver_exit: sol.exit,
+            solver_refit: sol.refit,
         }
     }
 

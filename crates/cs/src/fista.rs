@@ -29,18 +29,21 @@
 //! applies (see [`crate::measure`] for what one apply costs), plus
 //! `O(n)` vector work per iteration. With the restart, the benchmark
 //! workloads average `I` ≈ 76 (50x100 MaxCut), 59 (32x40 ZNE) and 37
-//! (LiH 3⁸) iterations, against 232, 141 and 82 for plain FISTA. The
-//! debias refit that follows keeps the recovered support `S` fixed, so
-//! it works on the support's atom columns `Φ = A[:, S]` instead of the
-//! operator: building them
-//! costs `|S|` forward applies of a one-hot iterate and `m·|S|` floats,
-//! and each of its at most `debias_iters` iterations then costs
-//! `2·m·|S|` multiply-adds, where a step through the operator would
-//! cost a forward and an adjoint apply. Supports stay far below `m`: in
-//! the benchmark workloads they hold 7–15 (50x100 MaxCut, `m = 500`),
-//! 7–25 (32x40 ZNE, `m = 256`) and 2 (LiH 3⁸, `m = 1641`) coefficients,
-//! and the refit runs its full 120 iterations on the first two and
-//! 93–116 on LiH.
+//! (LiH 3⁸) iterations, against 232, 141 and 82 for plain FISTA.
+//!
+//! The debias refit that follows keeps the recovered support `S` fixed
+//! and solves `min ‖Φ x − y‖₂` exactly on its atom columns
+//! `Φ = A[:, S]`: building them costs `|S|` forward applies of a one-hot
+//! iterate and `m·|S|` floats, the Gram matrix `ΦᵀΦ` about `|S|²·m/2`
+//! multiply-adds, its Cholesky factor `|S|³/6` and the two triangular
+//! solves `|S|²`. There is no iteration budget. Supports stay far below
+//! `m`: in the benchmark workloads they hold 7–15 (50x100 MaxCut,
+//! `m = 500`), 7–25 (32x40 ZNE, `m = 256`) and 2 (LiH 3⁸, `m = 1641`)
+//! coefficients. The refit is skipped, keeping FISTA's coefficients,
+//! when `|S| ≥ m` (the normal equations are singular, so no atom column
+//! is built) or when a Cholesky pivot falls to `REFIT_PIVOT_FLOOR`
+//! times the largest diagonal entry of `ΦᵀΦ` (collinear atoms);
+//! [`FistaResult::refit`] reports which happened.
 
 use crate::measure::SensingOperator;
 use crate::workspace::Workspace;
@@ -48,32 +51,29 @@ use crate::workspace::Workspace;
 /// Configuration for [`fista`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FistaConfig {
-    /// l1 penalty weight. If `relative_lambda` is set, the effective
-    /// penalty is `lambda * max|A^T y|`, making the setting scale-free.
+    /// l1 penalty weight relative to `max|A^T y|`: the effective penalty
+    /// is `lambda * max|A^T y|`, which makes the setting scale-free.
     pub lambda: f64,
-    /// Interpret `lambda` relative to `max|A^T y|` (recommended).
-    pub relative_lambda: bool,
     /// Maximum number of iterations.
     pub max_iter: usize,
     /// Stop when the relative change of the iterate drops below this.
     pub tol: f64,
-    /// After convergence, refit the values on the recovered support by
-    /// gradient descent with the l1 term removed (debiasing); reduces the
-    /// systematic shrinkage of large coefficients.
-    pub debias_iters: usize,
 }
 
 impl Default for FistaConfig {
     fn default() -> Self {
         FistaConfig {
             lambda: 0.005,
-            relative_lambda: true,
             max_iter: 500,
             tol: 1e-7,
-            debias_iters: 120,
         }
     }
 }
+
+/// A Cholesky pivot of the refit's Gram matrix at or below this
+/// fraction of its largest diagonal entry marks the support's atom
+/// columns as numerically dependent, and the refit is skipped.
+const REFIT_PIVOT_FLOOR: f64 = 1e-10;
 
 /// Why the FISTA iteration stopped.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -97,6 +97,12 @@ pub struct FistaResult {
     pub residual_norm: f64,
     /// Number of non-zero coefficients in the solution.
     pub support_size: usize,
+    /// Whether the coefficients on the support are the exact
+    /// least-squares refit (vacuously so for an empty support). `false`
+    /// when the refit was skipped and they are FISTA's: the support held
+    /// `m` or more coefficients, or its atom columns were numerically
+    /// dependent.
+    pub refit: bool,
 }
 
 /// Runs FISTA for the operator `op` and measurements `y`.
@@ -151,13 +157,9 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
     assert!(cfg.lambda > 0.0, "lambda must be positive");
     ws.ensure(op);
 
-    let lambda = if cfg.relative_lambda {
-        op.adjoint_into(y, &mut ws.grad, &mut ws.op);
-        let max_corr = ws.grad.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        (cfg.lambda * max_corr).max(f64::MIN_POSITIVE)
-    } else {
-        cfg.lambda
-    };
+    op.adjoint_into(y, &mut ws.grad, &mut ws.op);
+    let max_corr = ws.grad.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let lambda = (cfg.lambda * max_corr).max(f64::MIN_POSITIVE);
 
     ws.s.fill(0.0); // current iterate
     ws.z.fill(0.0); // momentum point
@@ -208,9 +210,7 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
         }
     }
 
-    if cfg.debias_iters > 0 {
-        debias(op, y, cfg.debias_iters, ws);
-    }
+    let refit = debias(op, y, ws);
 
     op.forward_into(&ws.s, &mut ws.az, &mut ws.op);
     let residual_norm = ws
@@ -227,16 +227,19 @@ pub fn fista_with<O: SensingOperator + ?Sized>(
         exit,
         residual_norm,
         support_size,
+        refit,
     }
 }
 
-/// Gradient descent restricted to the current support (l1 term dropped),
-/// correcting the soft-threshold shrinkage bias. Operates on `ws.s`:
-/// builds each atom column `A e_j` of `Φ = A[:, S]` once into
-/// `ws.atoms` (`|S| x m`, as OMP stores them), then takes unit steps
-/// `r = Φ s_S − y; s_S −= Φᵀ r` until the largest step falls below
-/// `1e-12` or `iters` steps ran.
-fn debias<O: SensingOperator + ?Sized>(op: &O, y: &[f64], iters: usize, ws: &mut Workspace) {
+/// Refits the values on the current support by least squares with the
+/// l1 term dropped, removing the soft threshold's shrinkage bias.
+/// Operates on `ws.s`: builds each atom column `A e_j` of `Φ = A[:, S]`
+/// once into `ws.atoms` (`|S| x m`), forms the normal equations
+/// `ΦᵀΦ x = Φᵀy` in `ws.gram` and `ws.rhs`, and solves them by Cholesky
+/// into `ws.coef`. Returns `false`, leaving `ws.s` as FISTA left it, when
+/// `|S| ≥ m` or the factorization meets a pivot at or below
+/// [`REFIT_PIVOT_FLOOR`] times `max diag(ΦᵀΦ)`.
+fn debias<O: SensingOperator + ?Sized>(op: &O, y: &[f64], ws: &mut Workspace) -> bool {
     ws.support.clear();
     ws.support.extend(
         ws.s.iter()
@@ -244,12 +247,16 @@ fn debias<O: SensingOperator + ?Sized>(op: &O, y: &[f64], iters: usize, ws: &mut
             .filter(|(_, v)| **v != 0.0)
             .map(|(i, _)| i),
     );
-    if ws.support.is_empty() {
-        return;
-    }
+    let k = ws.support.len();
     let m = y.len();
+    if k == 0 {
+        return true;
+    }
+    if k >= m {
+        return false;
+    }
     ws.atoms.clear();
-    ws.atoms.resize(ws.support.len() * m, 0.0);
+    ws.atoms.resize(k * m, 0.0);
     // `z` (the momentum point) is dead after the main loop: reuse it as
     // the unit vector `e_j`.
     ws.z.fill(0.0);
@@ -258,27 +265,81 @@ fn debias<O: SensingOperator + ?Sized>(op: &O, y: &[f64], iters: usize, ws: &mut
         op.forward_into(&ws.z, atom, &mut ws.op);
         ws.z[j] = 0.0;
     }
-    for _ in 0..iters {
-        ws.resid.fill(0.0);
-        for (&j, atom) in ws.support.iter().zip(ws.atoms.chunks_exact(m)) {
-            let sj = ws.s[j];
-            for (r, &a) in ws.resid.iter_mut().zip(atom) {
-                *r += sj * a;
+    ws.gram.clear();
+    ws.gram.resize(k * k, 0.0);
+    ws.rhs.clear();
+    for (a, atom) in ws.atoms.chunks_exact(m).enumerate() {
+        for (b, other) in ws.atoms.chunks_exact(m).take(a + 1).enumerate() {
+            ws.gram[a * k + b] = dot(atom, other);
+        }
+        ws.rhs.push(dot(atom, y));
+    }
+    let max_diag = (0..k).fold(0.0f64, |d, a| d.max(ws.gram[a * k + a]));
+    ws.chol.clear();
+    ws.chol.resize(k * k, 0.0);
+    ws.coef.clear();
+    ws.coef.resize(k, 0.0);
+    let floor = REFIT_PIVOT_FLOOR * max_diag;
+    if !cholesky_solve_into(&ws.gram, &ws.rhs, k, floor, &mut ws.chol, &mut ws.coef) {
+        return false;
+    }
+    for (&j, &c) in ws.support.iter().zip(&ws.coef) {
+        ws.s[j] = c;
+    }
+    true
+}
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// Solves `G x = b` for symmetric positive-definite `G` (row-major
+/// `k x k`; only its lower triangle is read) by Cholesky factorization
+/// into `l` (at least `k * k`) and two triangular solves; the solution
+/// lands in `x` (length `k`), which doubles as the substitution buffer.
+/// Returns `false`, with `x` unspecified, when a pivot is at or below
+/// `floor`.
+fn cholesky_solve_into(
+    g: &[f64],
+    b: &[f64],
+    k: usize,
+    floor: f64,
+    l: &mut [f64],
+    x: &mut [f64],
+) -> bool {
+    for i in 0..k {
+        for j in 0..=i {
+            let mut sum = g[i * k + j];
+            for p in 0..j {
+                sum -= l[i * k + p] * l[j * k + p];
+            }
+            if i == j {
+                if sum <= floor || sum.is_nan() {
+                    return false;
+                }
+                l[i * k + i] = sum.sqrt();
+            } else {
+                l[i * k + j] = sum / l[j * k + j];
             }
         }
-        for (r, &b) in ws.resid.iter_mut().zip(y) {
-            *r -= b;
-        }
-        let mut max_step = 0.0f64;
-        for (&j, atom) in ws.support.iter().zip(ws.atoms.chunks_exact(m)) {
-            let g: f64 = atom.iter().zip(&ws.resid).map(|(a, r)| a * r).sum();
-            ws.s[j] -= g;
-            max_step = max_step.max(g.abs());
-        }
-        if max_step < 1e-12 {
-            break;
-        }
     }
+    // Forward substitution L z = b (z stored in x).
+    for i in 0..k {
+        let mut sum = b[i];
+        for p in 0..i {
+            sum -= l[i * k + p] * x[p];
+        }
+        x[i] = sum / l[i * k + i];
+    }
+    // Back substitution Lᵀ x = z, in place.
+    for i in (0..k).rev() {
+        let mut sum = x[i];
+        for p in i + 1..k {
+            sum -= l[p * k + i] * x[p];
+        }
+        x[i] = sum / l[i * k + i];
+    }
+    true
 }
 
 /// Soft-thresholding operator `sign(x) * max(|x| - t, 0)`.
@@ -398,7 +459,6 @@ mod tests {
             &FistaConfig {
                 lambda: 1e-5,
                 max_iter: 2000,
-                debias_iters: 200,
                 ..FistaConfig::default()
             },
         );
@@ -408,62 +468,84 @@ mod tests {
         }
     }
 
-    /// The debias refit as a plain loop through the operator: a forward
-    /// and an adjoint apply per unit step, of which only the support
-    /// entries of the gradient are read.
-    fn debias_through_operator<O: SensingOperator>(op: &O, y: &[f64], s: &mut [f64], iters: usize) {
+    /// `min ‖Φ x − y‖₂` by Householder QR on the dense columns `Φ`: the
+    /// reference the Cholesky refit must match. Never squares `Φ`, so it
+    /// does not share the normal equations' rounding.
+    fn dense_least_squares(columns: &[Vec<f64>], y: &[f64]) -> Vec<f64> {
+        let mut a = columns.to_vec();
+        let mut b = y.to_vec();
+        let k = a.len();
+        for j in 0..k {
+            let norm = a[j][j..].iter().map(|v| v * v).sum::<f64>().sqrt();
+            let alpha = if a[j][j] > 0.0 { -norm } else { norm };
+            let mut v = a[j][j..].to_vec();
+            v[0] -= alpha;
+            let vv: f64 = v.iter().map(|x| x * x).sum();
+            for col in a[j..]
+                .iter_mut()
+                .map(Vec::as_mut_slice)
+                .chain([b.as_mut_slice()])
+            {
+                let d = 2.0 * v.iter().zip(&col[j..]).map(|(p, q)| p * q).sum::<f64>() / vv;
+                for (c, vi) in col[j..].iter_mut().zip(&v) {
+                    *c -= d * vi;
+                }
+            }
+        }
+        let mut x = vec![0.0; k];
+        for i in (0..k).rev() {
+            let tail: f64 = (i + 1..k).map(|j| a[j][i] * x[j]).sum();
+            x[i] = (b[i] - tail) / a[i][i];
+        }
+        x
+    }
+
+    /// The refit as a dense reference: builds `Φ = A[:, S]` column by
+    /// column and replaces `s[S]` with [`dense_least_squares`], under the
+    /// solver's `|S| < m` guard.
+    fn dense_refit<O: SensingOperator>(op: &O, y: &[f64], s: &mut [f64]) {
         let support: Vec<usize> = (0..s.len()).filter(|&i| s[i] != 0.0).collect();
+        if support.len() >= y.len() {
+            return;
+        }
         let mut scratch = op.make_scratch();
-        let mut resid = vec![0.0; y.len()];
-        let mut grad = vec![0.0; s.len()];
-        for _ in 0..iters {
-            op.forward_into(s, &mut resid, &mut scratch);
-            for (r, &b) in resid.iter_mut().zip(y) {
-                *r -= b;
-            }
-            op.adjoint_into(&resid, &mut grad, &mut scratch);
-            let mut max_step = 0.0f64;
-            for &i in &support {
-                s[i] -= grad[i];
-                max_step = max_step.max(grad[i].abs());
-            }
-            if max_step < 1e-12 {
-                break;
-            }
+        let columns: Vec<Vec<f64>> = support
+            .iter()
+            .map(|&j| {
+                let mut e = vec![0.0; s.len()];
+                e[j] = 1.0;
+                let mut col = vec![0.0; y.len()];
+                op.forward_into(&e, &mut col, &mut scratch);
+                col
+            })
+            .collect();
+        for (&j, c) in support.iter().zip(dense_least_squares(&columns, y)) {
+            s[j] = c;
         }
     }
 
-    /// Solves `y` through `op` without and with the refit, and runs the
-    /// operator loop from the unrefitted point. The refit contracts fast
-    /// at 90% sampling, so both converge well inside the budget and must
-    /// land on the same point.
-    fn assert_debias_matches_operator_loop<O: SensingOperator>(op: &O, y: &[f64]) {
-        let cfg = FistaConfig {
-            lambda: 1e-3,
-            debias_iters: 500,
-            ..FistaConfig::default()
-        };
-        let raw = fista(
+    /// The solver's refit lands on the dense reference fitted to the same
+    /// support, to 1e-10.
+    fn assert_refit_matches_dense_reference<O: SensingOperator>(op: &O, y: &[f64]) {
+        let res = fista(
             op,
             y,
             &FistaConfig {
-                debias_iters: 0,
-                ..cfg
+                lambda: 1e-3,
+                ..FistaConfig::default()
             },
         );
-        assert!(raw.support_size >= 2, "support {}", raw.support_size);
-        let refit = fista(op, y, &cfg);
-        assert_eq!(refit.iterations, raw.iterations);
-        assert_eq!(refit.support_size, raw.support_size);
-        let mut looped = raw.coefficients.clone();
-        debias_through_operator(op, y, &mut looped, cfg.debias_iters);
-        for (i, (a, b)) in refit.coefficients.iter().zip(&looped).enumerate() {
-            assert!((a - b).abs() < 1e-12, "coef {i}: atoms {a} vs loop {b}");
+        assert!(res.refit);
+        assert!(res.support_size >= 2, "support {}", res.support_size);
+        let mut reference = res.coefficients.clone();
+        dense_refit(op, y, &mut reference);
+        for (i, (a, b)) in res.coefficients.iter().zip(&reference).enumerate() {
+            assert!((a - b).abs() < 1e-10, "coef {i}: cholesky {a} vs dense {b}");
         }
     }
 
     #[test]
-    fn debias_on_atom_columns_matches_the_operator_loop() {
+    fn refit_matches_dense_least_squares() {
         let dct = Dct2d::new(24, 40);
         // 30 spikes, so the refit has a support of at least 30 to fit.
         let spikes: Vec<(usize, f64)> = (0..30)
@@ -471,9 +553,9 @@ mod tests {
             .collect();
         let (_, full) = sparse_signal(&dct, &spikes);
         let mut rng = StdRng::seed_from_u64(31);
-        let pattern = SamplePattern::random(24, 40, 0.9, &mut rng);
+        let pattern = SamplePattern::random(24, 40, 0.5, &mut rng);
         let y = pattern.gather(&full);
-        assert_debias_matches_operator_loop(&MeasurementOperator::new(&dct, &pattern), &y);
+        assert_refit_matches_dense_reference(&MeasurementOperator::new(&dct, &pattern), &y);
 
         use crate::dct::DctNd;
         use crate::measure::{MeasurementOperatorNd, NdSamplePattern};
@@ -484,16 +566,79 @@ mod tests {
             coeffs[j * 11 % 360] = 1.5 - 0.04 * j as f64;
         }
         let full = dct.inverse(&coeffs);
-        let pattern = NdSamplePattern::random(&dims, 0.9, &mut rng);
+        let pattern = NdSamplePattern::random(&dims, 0.5, &mut rng);
         let y = pattern.gather(&full);
-        assert_debias_matches_operator_loop(&MeasurementOperatorNd::new(&dct, &pattern), &y);
+        assert_refit_matches_dense_reference(&MeasurementOperatorNd::new(&dct, &pattern), &y);
+    }
+
+    #[test]
+    fn refit_is_skipped_when_the_support_reaches_m() {
+        // One iteration from zero soft-thresholds `Aᵀy` at 0.5% of its
+        // peak, which keeps far more than the 58 sampled coefficients.
+        // The guard fires before a single atom column is built.
+        let dct = Dct2d::new(24, 40);
+        let (_, full) = sparse_signal(&dct, &[(0, 3.0), (41, -1.0), (300, 0.5)]);
+        let mut rng = StdRng::seed_from_u64(12);
+        let pattern = SamplePattern::random(24, 40, 0.06, &mut rng);
+        let y = pattern.gather(&full);
+        let op = MeasurementOperator::new(&dct, &pattern);
+        let cfg = FistaConfig {
+            max_iter: 1,
+            ..FistaConfig::default()
+        };
+        let mut ws = Workspace::for_operator(&op);
+        let res = fista_with(&op, &y, &cfg, &mut ws);
+        assert!(res.support_size >= y.len(), "support {}", res.support_size);
+        assert!(!res.refit);
+        assert!(ws.atoms.is_empty(), "{} atom floats built", ws.atoms.len());
+        let (raw, _, _) = plain_fista_unrefitted(&op, &y, &cfg);
+        assert_eq!(res.coefficients, raw);
+    }
+
+    #[test]
+    fn refit_is_skipped_on_dependent_atoms() {
+        // With every sample in grid row `r`, atom `(k, l)` evaluates to
+        // `D[k][r]·D[l][c]`: atoms of one column frequency `l` differ
+        // only by a scale and are collinear. All of `y`'s energy is at
+        // `l = 3`, so the first iterate keeps most of that column's 16
+        // atoms, well below the 40 samples. One more sample, in the next
+        // row, raises that column's rank to 2; at λ = 0.95 the first
+        // iterate keeps three of its atoms, and rounding leaves some rows
+        // a tiny positive last pivot that only the floor catches.
+        let (rows, cols) = (16, 40);
+        let dct = Dct2d::new(rows, cols);
+        let (_, full) = sparse_signal(&dct, &[(3, 2.0), (2 * cols + 3, -1.0)]);
+        for r in 0..rows {
+            let row: Vec<usize> = (r * cols..(r + 1) * cols).collect();
+            let mut row_plus_one = row.clone();
+            row_plus_one.push((r + 1) % rows * cols + 7);
+            row_plus_one.sort_unstable();
+            for (indices, lambda) in [(row, 0.005), (row_plus_one, 0.95)] {
+                let pattern = SamplePattern::from_indices(rows, cols, indices);
+                let y = pattern.gather(&full);
+                let op = MeasurementOperator::new(&dct, &pattern);
+                let cfg = FistaConfig {
+                    lambda,
+                    max_iter: 1,
+                    ..FistaConfig::default()
+                };
+                let res = fista(&op, &y, &cfg);
+                assert!(
+                    (3..y.len()).contains(&res.support_size),
+                    "row {r}, λ {lambda}: support {}",
+                    res.support_size
+                );
+                assert!(!res.refit, "row {r}, λ {lambda}");
+                let (raw, _, _) = plain_fista_unrefitted(&op, &y, &cfg);
+                assert_eq!(res.coefficients, raw, "row {r}, λ {lambda}");
+            }
+        }
     }
 
     /// Beck & Teboulle's FISTA without the restart, with the solver's
-    /// relative λ, stopping rule and refit: the reference the restarted
-    /// loop must agree with. Returns the coefficients, the iteration
-    /// count and the exit.
-    fn plain_fista<O: SensingOperator>(
+    /// relative λ and stopping rule and no refit. Returns the
+    /// coefficients, the iteration count and the exit.
+    fn plain_fista_unrefitted<O: SensingOperator>(
         op: &O,
         y: &[f64],
         cfg: &FistaConfig,
@@ -528,12 +673,22 @@ mod tests {
             s = next;
             t = t_next;
             if max_delta <= cfg.tol * max_mag.max(1e-12) {
-                debias_through_operator(op, y, &mut s, cfg.debias_iters);
                 return (s, it, FistaExit::Converged);
             }
         }
-        debias_through_operator(op, y, &mut s, cfg.debias_iters);
         (s, cfg.max_iter, FistaExit::IterationCap)
+    }
+
+    /// [`plain_fista_unrefitted`] followed by the dense refit: the
+    /// reference the restarted, refitted solve must agree with.
+    fn plain_fista<O: SensingOperator>(
+        op: &O,
+        y: &[f64],
+        cfg: &FistaConfig,
+    ) -> (Vec<f64>, usize, FistaExit) {
+        let (mut s, iterations, exit) = plain_fista_unrefitted(op, y, cfg);
+        dense_refit(op, y, &mut s);
+        (s, iterations, exit)
     }
 
     /// The restarted solve lands on the reference's solution: the same
@@ -711,7 +866,6 @@ mod tests {
             &[0.0, 0.0],
             &FistaConfig {
                 lambda: 0.0,
-                relative_lambda: false,
                 ..FistaConfig::default()
             },
         );

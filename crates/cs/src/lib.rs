@@ -17,10 +17,8 @@
 //! * [`measure`] — random sampling patterns and the measurement operator
 //!   `A = C Ψ` with its adjoint (the 2-D one evaluates only the sampled
 //!   points where that costs less than a full transform);
-//! * [`fista`] — FISTA solver for the l1 (LASSO) recovery program, the
-//!   workhorse reconstruction routine;
-//! * [`omp`] — orthogonal matching pursuit, the greedy alternative used in
-//!   the recovery-ablation benchmark;
+//! * [`fista`] — the sparse solver: FISTA for the l1 (LASSO) recovery
+//!   program, then an exact least-squares refit of the recovered support;
 //! * [`workspace`] — reusable scratch making the solver hot loops
 //!   allocation-free in steady state;
 //! * [`analysis`] — DCT energy-compaction metrics (Table 4).
@@ -57,9 +55,7 @@ pub mod analysis;
 pub mod dct;
 pub mod fft;
 pub mod fista;
-pub mod ista;
 pub mod measure;
-pub mod omp;
 pub mod plan_cache;
 pub mod workspace;
 
@@ -68,10 +64,8 @@ pub mod prelude {
     pub use crate::analysis::{dct_energy_fraction_99, energy_fraction, keep_top_k};
     pub use crate::dct::{Dct1d, Dct2d, DctNd, FAST_DCT_THRESHOLD};
     pub use crate::fista::{fista, fista_with, FistaConfig, FistaExit, FistaResult};
-    pub use crate::ista::{ista, ista_with};
     pub use crate::measure::{
         MeasurementOperator, MeasurementOperatorNd, NdSamplePattern, SamplePattern, SensingOperator,
     };
-    pub use crate::omp::{omp, omp_with, OmpConfig, OmpResult};
     pub use crate::workspace::Workspace;
 }

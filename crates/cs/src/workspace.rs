@@ -3,10 +3,10 @@
 //! Every FISTA iteration applies the measurement operator (transform
 //! passes + sampling) and its adjoint, each needing full-grid
 //! and measurement-sized temporaries. The seed implementation allocated
-//! ~5 fresh `Vec`s per iteration; a [`Workspace`] owns all of them, so
-//! the `*_with` solver entry points ([`crate::fista::fista_with`],
-//! [`crate::ista::ista_with`], [`crate::omp::omp_with`]) perform **no
-//! heap allocation in steady state** — verified by the
+//! ~5 fresh `Vec`s per iteration; a [`Workspace`] owns all of them, as
+//! well as the support refit's atom columns, normal equations and
+//! Cholesky factor, so [`crate::fista::fista_with`] performs **no heap
+//! allocation in steady state** — verified by the
 //! allocation-counting test in `crates/cs/tests/alloc.rs`. (With more
 //! than one `oscar-par` worker, the scoped thread spawns inside large
 //! parallel transforms do allocate; see the `oscar-par` crate docs.)
@@ -122,28 +122,28 @@ pub struct Workspace {
     pub(crate) op: OperatorScratch,
     /// Current iterate (signal length `n`).
     pub(crate) s: Vec<f64>,
-    /// Momentum point (FISTA) — `n`.
+    /// Momentum point; after the loop, the refit's unit vector `e_j` —
+    /// `n`.
     pub(crate) z: Vec<f64>,
     /// Next iterate under construction — `n`.
     pub(crate) s_next: Vec<f64>,
     /// Gradient / correlation buffer — `n`.
     pub(crate) grad: Vec<f64>,
-    /// Recovered support indices (debias step, OMP).
+    /// Recovered support indices `S` (refit).
     pub(crate) support: Vec<usize>,
     /// Operator output `A s` (measurement length `m`).
     pub(crate) az: Vec<f64>,
     /// Residual `A s - y` — `m`.
     pub(crate) resid: Vec<f64>,
-    /// Atom columns `A e_j`, flattened `k * m`: OMP's selected atoms, or
-    /// the support FISTA's debias refits on.
+    /// Refit: the support's atom columns `A e_j`, flattened `|S| * m`.
     pub(crate) atoms: Vec<f64>,
-    /// OMP: Gram matrix of the selected atoms, `k * k`.
+    /// Refit: Gram matrix `ΦᵀΦ` of the atom columns, `|S| * |S|`.
     pub(crate) gram: Vec<f64>,
-    /// OMP: Cholesky factor scratch, `k * k`.
+    /// Refit: Cholesky factor of the Gram matrix, `|S| * |S|`.
     pub(crate) chol: Vec<f64>,
-    /// OMP: right-hand side / substitution scratch, `k` each.
+    /// Refit: right-hand side `Φᵀy`, `|S|`.
     pub(crate) rhs: Vec<f64>,
-    /// OMP: least-squares solution on the support, `k`.
+    /// Refit: least-squares solution on the support, `|S|`.
     pub(crate) coef: Vec<f64>,
 }
 
@@ -222,7 +222,6 @@ mod tests {
         let y = pattern.gather(&full);
         let cfg = FistaConfig {
             max_iter: 50,
-            debias_iters: 0,
             ..FistaConfig::default()
         };
 

@@ -78,50 +78,6 @@ proptest! {
         let ynorm: f64 = y.iter().map(|v| v * v).sum::<f64>().sqrt();
         prop_assert!(sol.residual_norm <= ynorm + 1e-9);
     }
-
-    /// ISTA and FISTA agree on the recovered support for well-posed
-    /// 1-sparse problems.
-    #[test]
-    fn ista_fista_agree_on_easy_problems(spike in 0usize..64, seed in 0u64..100) {
-        use rand::SeedableRng;
-        let dct = Dct2d::new(8, 8);
-        let mut coeffs = vec![0.0; 64];
-        coeffs[spike] = 2.0;
-        let full = dct.inverse(&coeffs);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pattern = SamplePattern::random(8, 8, 0.5, &mut rng);
-        let y = pattern.gather(&full);
-        let op = MeasurementOperator::new(&dct, &pattern);
-        let cfg = FistaConfig { max_iter: 2000, ..FistaConfig::default() };
-        let f = fista(&op, &y, &cfg);
-        let i = ista(&op, &y, &cfg);
-        // Both should put their largest coefficient on the true spike.
-        let argmax = |v: &[f64]| {
-            v.iter().enumerate().max_by(|a, b| a.1.abs().total_cmp(&b.1.abs())).unwrap().0
-        };
-        prop_assert_eq!(argmax(&f.coefficients), spike);
-        prop_assert_eq!(argmax(&i.coefficients), spike);
-    }
-
-    /// OMP's residual decreases as the atom budget grows.
-    #[test]
-    fn omp_residual_monotone_in_atoms(seed in 0u64..100) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let dct = Dct2d::new(8, 8);
-        let mut coeffs = vec![0.0; 64];
-        for _ in 0..5 {
-            let i = rng.gen_range(0usize..64);
-            coeffs[i] = rng.gen_range(-2.0..2.0);
-        }
-        let full = dct.inverse(&coeffs);
-        let pattern = SamplePattern::random(8, 8, 0.6, &mut rng);
-        let y = pattern.gather(&full);
-        let op = MeasurementOperator::new(&dct, &pattern);
-        let small = omp(&op, &y, &OmpConfig { max_atoms: 2, residual_tol: 0.0 });
-        let large = omp(&op, &y, &OmpConfig { max_atoms: 8, residual_tol: 0.0 });
-        prop_assert!(large.residual_norm <= small.residual_norm + 1e-9);
-    }
 }
 
 /// FFT-kernel vs dense-kernel equivalence and transform invariants for

@@ -41,7 +41,7 @@ pub enum Stage {
     LandscapeGen,
     /// Error-mitigation work (ZNE extrapolation, readout, Gaussian).
     Mitigation,
-    /// Compressed-sensing reconstruction (FISTA/OMP).
+    /// Compressed-sensing reconstruction (FISTA).
     Reconstruction,
     /// Descent optimization on the reconstructed landscape.
     Descent,

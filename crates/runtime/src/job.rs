@@ -60,15 +60,18 @@ fn stage_metrics() -> &'static [oscar_obs::Histogram; oscar_obs::span::STAGE_COU
 }
 
 /// Solver telemetry, resolved once: `fista.iterations` (histogram of
-/// iterations per job) and `fista.cap_exits` (jobs whose FISTA solve
-/// stopped at its iteration cap instead of converging).
-fn fista_metrics() -> &'static (oscar_obs::Histogram, oscar_obs::Counter) {
-    static METRICS: OnceLock<(oscar_obs::Histogram, oscar_obs::Counter)> = OnceLock::new();
+/// iterations per job), `fista.cap_exits` (jobs whose FISTA solve
+/// stopped at its iteration cap instead of converging) and
+/// `fista.refit_skips` (jobs whose support was not refitted).
+fn fista_metrics() -> &'static (oscar_obs::Histogram, oscar_obs::Counter, oscar_obs::Counter) {
+    static METRICS: OnceLock<(oscar_obs::Histogram, oscar_obs::Counter, oscar_obs::Counter)> =
+        OnceLock::new();
     METRICS.get_or_init(|| {
         let registry = oscar_obs::Registry::global();
         (
             registry.histogram("fista.iterations"),
             registry.counter("fista.cap_exits"),
+            registry.counter("fista.refit_skips"),
         )
     })
 }
@@ -240,37 +243,42 @@ pub fn run_job(spec: &JobSpec, cache: Option<&LandscapeCache>) -> JobResult {
     );
 
     let reconstructor = Reconstructor::new(spec.fista);
-    let (reconstruction, nrmse, samples_used, solver_iterations, solver_exit) = match truth.as_ref()
-    {
-        ShapedLandscape::Grid2d(l) => {
-            let report = with_stage(Stage::Reconstruction, || {
-                reconstructor.reconstruct_fraction_seeded(l, spec.fraction, spec.seed)
-            });
-            (
-                ShapedLandscape::Grid2d(report.landscape),
-                report.nrmse,
-                report.samples_used,
-                report.solver_iterations,
-                report.solver_exit,
-            )
-        }
-        ShapedLandscape::Tensor(l) => {
-            let report = with_stage(Stage::Reconstruction, || {
-                reconstructor.reconstruct_tensor_fraction_seeded(l, spec.fraction, spec.seed)
-            });
-            (
-                ShapedLandscape::Tensor(report.landscape),
-                report.nrmse,
-                report.samples_used,
-                report.solver_iterations,
-                report.solver_exit,
-            )
-        }
-    };
-    let (iterations_hist, cap_exits) = fista_metrics();
+    let (reconstruction, nrmse, samples_used, solver_iterations, solver_exit, solver_refit) =
+        match truth.as_ref() {
+            ShapedLandscape::Grid2d(l) => {
+                let report = with_stage(Stage::Reconstruction, || {
+                    reconstructor.reconstruct_fraction_seeded(l, spec.fraction, spec.seed)
+                });
+                (
+                    ShapedLandscape::Grid2d(report.landscape),
+                    report.nrmse,
+                    report.samples_used,
+                    report.solver_iterations,
+                    report.solver_exit,
+                    report.solver_refit,
+                )
+            }
+            ShapedLandscape::Tensor(l) => {
+                let report = with_stage(Stage::Reconstruction, || {
+                    reconstructor.reconstruct_tensor_fraction_seeded(l, spec.fraction, spec.seed)
+                });
+                (
+                    ShapedLandscape::Tensor(report.landscape),
+                    report.nrmse,
+                    report.samples_used,
+                    report.solver_iterations,
+                    report.solver_exit,
+                    report.solver_refit,
+                )
+            }
+        };
+    let (iterations_hist, cap_exits, refit_skips) = fista_metrics();
     iterations_hist.record(solver_iterations as u64);
     if solver_exit == FistaExit::IterationCap {
         cap_exits.inc();
+    }
+    if !solver_refit {
+        refit_skips.inc();
     }
 
     let (best_point, best_value) = with_stage(Stage::Descent, || {

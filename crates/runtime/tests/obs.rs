@@ -138,13 +138,17 @@ fn cache_class_counters_account_for_batch_traffic() {
 }
 
 /// Every job records its FISTA iteration count, and a solve that stops
-/// at its iteration cap also bumps `fista.cap_exits`.
+/// at its iteration cap also bumps `fista.cap_exits`. Two iterations
+/// from zero leave a support far larger than the 36 samples, so that
+/// solve also skips its refit and bumps `fista.refit_skips`.
 #[test]
 fn fista_metrics_record_iterations_and_cap_exits() {
     let registry = Registry::global();
     let iterations = registry.histogram("fista.iterations");
     let cap_exits = registry.counter("fista.cap_exits");
+    let refit_skips = registry.counter("fista.refit_skips");
     let (count0, sum0, caps0) = (iterations.count(), iterations.sum(), cap_exits.get());
+    let skips0 = refit_skips.get();
 
     let first = oscar_runtime::job::run_job(&batch_specs()[0], None);
     let mut capped_spec = batch_specs()[1].clone();
@@ -158,6 +162,10 @@ fn fista_metrics_record_iterations_and_cap_exits() {
         "both jobs' iterations must land in the histogram"
     );
     assert!(cap_exits.get() - caps0 >= 1, "the capped job must count");
+    assert!(
+        refit_skips.get() - skips0 >= 1,
+        "the capped job's skipped refit must count"
+    );
 }
 
 /// Every job of the noisy ZNE batch converges under the default

@@ -6,7 +6,7 @@
 //!
 //! * [`qsim`] — state-vector quantum simulator substrate;
 //! * [`problems`] — MaxCut / SK / molecular workloads and ansatzes;
-//! * [`cs`] — DCT bases and sparse recovery (FISTA, OMP);
+//! * [`cs`] — DCT bases and sparse recovery (FISTA);
 //! * [`optim`] — ADAM, COBYLA, Nelder–Mead, SPSA with query accounting;
 //! * [`mitigation`] — noise models, ZNE, readout mitigation;
 //! * [`executor`] — multi-QPU devices, latency model, NCM, eager sampling;

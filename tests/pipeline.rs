@@ -60,8 +60,8 @@ fn golden_pipeline_numbers_on_the_papers_grid() {
                 name: "exact",
                 nrmse: 4.116557964577614e-2,
                 argmin: [-4.007133486721675e-1, 5.870652938526382e-1],
-                argmin_value: -1.007222512879648e1,
-                best_value: -1.0073541420077637e1,
+                argmin_value: -1.007224319058857e1,
+                best_value: -1.0073559581593189e1,
             },
         ),
         (
@@ -70,8 +70,8 @@ fn golden_pipeline_numbers_on_the_papers_grid() {
                 name: "noisy ibm perth",
                 nrmse: 5.130972566405576e-2,
                 argmin: [-4.007133486721675e-1, 5.870652938526382e-1],
-                argmin_value: -9.187071250739008e0,
-                best_value: -9.187896972531984e0,
+                argmin_value: -9.187089537329072e0,
+                best_value: -9.187915354398966e0,
             },
         ),
         (
@@ -80,8 +80,8 @@ fn golden_pipeline_numbers_on_the_papers_grid() {
                 name: "zne richardson",
                 nrmse: 1.086206057744128e-1,
                 argmin: [-4.007133486721675e-1, 5.870652938526382e-1],
-                argmin_value: -9.773983424146747e0,
-                best_value: -9.77440834587305e0,
+                argmin_value: -9.774001560652238e0,
+                best_value: -9.774426530880666e0,
             },
         ),
     ];
@@ -178,15 +178,15 @@ fn golden_nd_pipeline_numbers() {
             NdGolden {
                 name: "exact p=2 qaoa",
                 samples_used: 265,
-                nrmse: 7.180922953756629e-2,
+                nrmse: 7.177258100100431e-2,
                 argmin: &[
                     -3.9269908169872414e-1,
                     -2.3561944901923448e-1,
                     5.235987755982989e-1,
                     7.853981633974483e-1,
                 ],
-                argmin_value: -8.753294852944054e0,
-                best_value: -8.753294852944054e0,
+                argmin_value: -8.753065788093334e0,
+                best_value: -8.753065788093334e0,
             },
         ),
         (
@@ -194,15 +194,15 @@ fn golden_nd_pipeline_numbers() {
             NdGolden {
                 name: "zne p=2 qaoa ibm perth",
                 samples_used: 265,
-                nrmse: 1.1157353264681329e-1,
+                nrmse: 1.115041604203712e-1,
                 argmin: &[
                     3.9269908169872414e-1,
                     2.3561944901923448e-1,
                     -5.235987755982989e-1,
                     -7.853981633974483e-1,
                 ],
-                argmin_value: -8.329404798172117e0,
-                best_value: -8.329404798172117e0,
+                argmin_value: -8.329560444412058e0,
+                best_value: -8.329560444412058e0,
             },
         ),
         (
@@ -210,14 +210,14 @@ fn golden_nd_pipeline_numbers() {
             NdGolden {
                 name: "h2 vqe scan",
                 samples_used: 200,
-                nrmse: 6.009374988203308e-2,
+                nrmse: 6.0070363229611776e-2,
                 argmin: &[
                     -1.7453292519943298e-1,
                     1.7453292519943298e-1,
                     -1.7453292519943298e-1,
                 ],
-                argmin_value: -1.9363945744786066e0,
-                best_value: -1.9363945744786066e0,
+                argmin_value: -1.9364307007274322e0,
+                best_value: -1.9364307007274322e0,
             },
         ),
     ];

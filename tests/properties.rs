@@ -193,7 +193,6 @@ proptest! {
         let oscar = Reconstructor::new(oscar::cs::fista::FistaConfig {
             lambda: 1e-6,
             max_iter: 3000,
-            debias_iters: 300,
             ..Default::default()
         });
         let (recon, _) = oscar.reconstruct(&grid, &pattern, &samples);
