@@ -3,7 +3,7 @@
 //! reshaped p=2 grid).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use oscar_cs::dct::Dct2d;
+use oscar_cs::dct::{Dct1d, Dct2d, DctNd};
 use oscar_cs::fista::{fista, FistaConfig};
 use oscar_cs::measure::{MeasurementOperator, SamplePattern};
 use rand::rngs::StdRng;
@@ -64,8 +64,8 @@ fn bench_fista(c: &mut Criterion) {
 fn bench_dct_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("dct2d_kernel");
     for &(rows, cols) in &[(64usize, 64usize), (50, 100), (144, 225)] {
-        let dense = Dct2d::new_dense(rows, cols);
-        let fast = Dct2d::new_fast(rows, cols);
+        let dense = DctNd::from_axes(vec![Dct1d::new_dense(rows), Dct1d::new_dense(cols)]);
+        let fast = DctNd::from_axes(vec![Dct1d::new_fast(rows), Dct1d::new_fast(cols)]);
         let mut rng = StdRng::seed_from_u64(3);
         let x: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut out = vec![0.0; rows * cols];

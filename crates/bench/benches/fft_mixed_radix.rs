@@ -3,7 +3,7 @@
 //!
 //! Before the mixed-radix kernel, every non-power-of-two 1-D line fell
 //! back to Bluestein's chirp-z convolution (one power-of-two FFT pair
-//! of length `next_pow2(2n-1)` per line); `Dct2d::new_bluestein` keeps
+//! of length `next_pow2(2n-1)` per line); `Dct1d::new_bluestein` keeps
 //! that path alive as the baseline. Three views:
 //!
 //! * `dct1d_*` — one 1-D transform per side, the kernel-level gap;
@@ -12,12 +12,17 @@
 //!   number the acceptance criteria pin (mixed-radix must win).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use oscar_cs::dct::{Dct1d, Dct2d};
+use oscar_cs::dct::{Dct1d, DctNd};
 use oscar_cs::fista::{fista_with, FistaConfig};
 use oscar_cs::measure::{MeasurementOperator, SamplePattern};
 use oscar_cs::workspace::Workspace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A `rows x cols` transform on the given 1-D kernel for both axes.
+fn grid(kernel: fn(usize) -> Dct1d, rows: usize, cols: usize) -> DctNd {
+    DctNd::from_axes(vec![kernel(rows), kernel(cols)])
+}
 
 /// The paper's grid sides; every one is non-power-of-two.
 const SIDES: &[usize] = &[50, 100, 144, 225];
@@ -45,8 +50,8 @@ fn bench_dct1d(c: &mut Criterion) {
 fn bench_dct2d(c: &mut Criterion) {
     let mut group = c.benchmark_group("dct2d_nonpow2");
     for &(rows, cols) in &[(50usize, 100usize), (144, 225)] {
-        let mixed = Dct2d::new_fast(rows, cols);
-        let blue = Dct2d::new_bluestein(rows, cols);
+        let mixed = grid(Dct1d::new_fast, rows, cols);
+        let blue = grid(Dct1d::new_bluestein, rows, cols);
         let mut rng = StdRng::seed_from_u64(2);
         let x: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect();
         let mut out = vec![0.0; rows * cols];
@@ -70,8 +75,8 @@ fn bench_reconstruct(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconstruct_nonpow2");
     group.sample_size(10);
     for &(rows, cols) in &[(50usize, 100usize), (144, 225)] {
-        let mixed = Dct2d::new_fast(rows, cols);
-        let blue = Dct2d::new_bluestein(rows, cols);
+        let mixed = grid(Dct1d::new_fast, rows, cols);
+        let blue = grid(Dct1d::new_bluestein, rows, cols);
         let mut rng = StdRng::seed_from_u64(3);
         let mut coeffs = vec![0.0; rows * cols];
         for _ in 0..20 {

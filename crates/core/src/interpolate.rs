@@ -137,17 +137,6 @@ impl BivariateSpline {
         CubicSpline::fit(self.beta_values.clone(), col).eval(beta)
     }
 
-    /// Evaluates at a parameter vector `[beta, gamma]` — the signature
-    /// optimizers use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len() != 2`.
-    pub fn eval_params(&self, params: &[f64]) -> f64 {
-        assert_eq!(params.len(), 2, "bivariate spline takes [beta, gamma]");
-        self.eval(params[0], params[1])
-    }
-
     /// Evaluates with the query point clamped into the grid box.
     ///
     /// Cubic splines extrapolate as cubics and can diverge arbitrarily

@@ -4,11 +4,9 @@
 use crate::grid::{Grid2d, TensorShape};
 use crate::landscape::{Landscape, NdLandscape};
 use crate::metrics::nrmse;
-use oscar_cs::dct::{Dct2d, DctNd};
+use oscar_cs::dct::DctNd;
 use oscar_cs::fista::{fista_with, FistaConfig, FistaExit, FistaResult};
-use oscar_cs::measure::{
-    MeasurementOperator, MeasurementOperatorNd, NdSamplePattern, SamplePattern,
-};
+use oscar_cs::measure::{MeasurementOperatorNd, NdSamplePattern, SamplePattern};
 use oscar_cs::workspace::Workspace;
 use rand::Rng;
 
@@ -110,10 +108,7 @@ impl Reconstructor {
         pattern: &SamplePattern,
         samples: &[f64],
     ) -> (Landscape, FistaResult) {
-        assert_eq!(pattern.rows(), grid.rows(), "pattern rows mismatch");
-        assert_eq!(pattern.cols(), grid.cols(), "pattern cols mismatch");
-        let dct = Dct2d::new(grid.rows(), grid.cols());
-        let (values, sol) = self.solve(&dct, pattern, samples);
+        let (values, sol) = self.solve(&[grid.rows(), grid.cols()], pattern, samples);
         (Landscape::from_values(*grid, values), sol)
     }
 
@@ -200,10 +195,7 @@ impl Reconstructor {
         pattern: &SamplePattern,
         samples: &[f64],
     ) -> Vec<f64> {
-        assert_eq!(pattern.rows(), rows, "pattern rows mismatch");
-        assert_eq!(pattern.cols(), cols, "pattern cols mismatch");
-        let dct = Dct2d::new(rows, cols);
-        self.solve(&dct, pattern, samples).0
+        self.solve(&[rows, cols], pattern, samples).0
     }
 
     /// N-D analogue of [`Self::reconstruct`]: recovers a full tensor
@@ -231,23 +223,7 @@ impl Reconstructor {
         pattern: &NdSamplePattern,
         samples: &[f64],
     ) -> (NdLandscape, FistaResult) {
-        assert_eq!(
-            pattern.dims(),
-            &shape.dims()[..],
-            "pattern dims mismatch shape"
-        );
-        assert_eq!(
-            samples.len(),
-            pattern.num_samples(),
-            "one sample per pattern index required"
-        );
-        let dct = DctNd::new(pattern.dims());
-        let op = MeasurementOperatorNd::new(&dct, pattern);
-        let mut ws = Workspace::for_operator(&op);
-        let sol = fista_with(&op, samples, &self.fista, &mut ws);
-        let mut values = vec![0.0; dct.len()];
-        let mut scratch = dct.make_scratch();
-        dct.inverse_into(&sol.coefficients, &mut values, &mut scratch);
+        let (values, sol) = self.solve(&shape.dims(), pattern, samples);
         (NdLandscape::from_values(shape.clone(), values), sol)
     }
 
@@ -278,20 +254,28 @@ impl Reconstructor {
         }
     }
 
-    /// Shared solve path: one [`Workspace`] per call keeps every FISTA
-    /// iteration and the final inverse transform allocation-free.
+    /// The one solve path, for grids and tensors alike: FISTA in the
+    /// [`DctNd`] basis of `dims`, then the inverse transform. One
+    /// [`Workspace`] per call keeps every FISTA iteration allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pattern dims mismatch `dims` or sample count
+    /// mismatches the pattern.
     fn solve(
         &self,
-        dct: &Dct2d,
-        pattern: &SamplePattern,
+        dims: &[usize],
+        pattern: &NdSamplePattern,
         samples: &[f64],
     ) -> (Vec<f64>, FistaResult) {
+        assert_eq!(pattern.dims(), dims, "pattern dims mismatch shape");
         assert_eq!(
             samples.len(),
             pattern.num_samples(),
             "one sample per pattern index required"
         );
-        let op = MeasurementOperator::new(dct, pattern);
+        let dct = DctNd::new(dims);
+        let op = MeasurementOperatorNd::new(&dct, pattern);
         let mut ws = Workspace::for_operator(&op);
         let sol = fista_with(&op, samples, &self.fista, &mut ws);
         let mut values = vec![0.0; dct.len()];

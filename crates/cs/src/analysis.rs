@@ -4,7 +4,7 @@
 //! coefficients needed to retain 99% of a landscape's signal energy — the
 //! empirical justification that VQA landscapes are compressible.
 
-use crate::dct::Dct2d;
+use crate::dct::DctNd;
 
 /// Fraction of (sorted, largest-first) coefficients whose cumulative squared
 /// magnitude reaches `energy_fraction` of the total energy.
@@ -60,8 +60,7 @@ pub fn energy_fraction(coeffs: &[f64], energy_fraction: f64) -> f64 {
 ///
 /// Panics if `landscape.len() != rows * cols`.
 pub fn dct_energy_fraction_99(landscape: &[f64], rows: usize, cols: usize) -> f64 {
-    let dct = Dct2d::new(rows, cols);
-    let coeffs = dct.forward(landscape);
+    let coeffs = DctNd::new(&[rows, cols]).forward(landscape);
     energy_fraction(&coeffs, 0.99)
 }
 

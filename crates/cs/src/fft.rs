@@ -853,20 +853,7 @@ impl DctPlan {
     pub fn forward_into(&self, x: &[f64], out: &mut [f64], scratch: &mut FftScratch) {
         assert_eq!(x.len(), self.n, "input length mismatch");
         assert_eq!(out.len(), self.n, "output length mismatch");
-        assert_eq!(
-            scratch.line.len(),
-            self.n,
-            "scratch not sized for this plan"
-        );
-        let mut line = std::mem::take(&mut scratch.line);
-        for (v, &p) in line.iter_mut().zip(self.perm.iter()) {
-            *v = Cpx::new(x[p as usize], 0.0);
-        }
-        self.fft.forward(&mut line, scratch);
-        for k in 0..self.n {
-            out[k] = (self.shift[k] * line[k]).re * self.scale[k];
-        }
-        scratch.line = line;
+        self.forward_with(scratch, out, |_, i| x[i], |o, k, v| o[k] = v);
     }
 
     /// Orthonormal DCT-III (the inverse of [`DctPlan::forward_into`]):
@@ -878,6 +865,55 @@ impl DctPlan {
     pub fn inverse_into(&self, s: &[f64], out: &mut [f64], scratch: &mut FftScratch) {
         assert_eq!(s.len(), self.n, "input length mismatch");
         assert_eq!(out.len(), self.n, "output length mismatch");
+        self.inverse_with(scratch, out, |_, k| s[k], |o, i, v| o[i] = v);
+    }
+
+    /// [`Self::forward_into`] through accessors: `load(data, i)` returns
+    /// sample `i`, and `store(data, k, c)` receives coefficient `k`.
+    /// Every load happens before the first store, so both may address
+    /// the same elements of `data`: the line can be transformed in
+    /// place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` came from another plan.
+    pub(crate) fn forward_with<D: ?Sized>(
+        &self,
+        scratch: &mut FftScratch,
+        data: &mut D,
+        load: impl Fn(&D, usize) -> f64,
+        mut store: impl FnMut(&mut D, usize, f64),
+    ) {
+        assert_eq!(
+            scratch.line.len(),
+            self.n,
+            "scratch not sized for this plan"
+        );
+        let mut line = std::mem::take(&mut scratch.line);
+        for (v, &p) in line.iter_mut().zip(self.perm.iter()) {
+            *v = Cpx::new(load(data, p as usize), 0.0);
+        }
+        self.fft.forward(&mut line, scratch);
+        for k in 0..self.n {
+            store(data, k, (self.shift[k] * line[k]).re * self.scale[k]);
+        }
+        scratch.line = line;
+    }
+
+    /// [`Self::inverse_into`] through accessors, as
+    /// [`Self::forward_with`]: `load(data, k)` returns coefficient `k`,
+    /// and `store(data, i, x)` receives sample `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` came from another plan.
+    pub(crate) fn inverse_with<D: ?Sized>(
+        &self,
+        scratch: &mut FftScratch,
+        data: &mut D,
+        load: impl Fn(&D, usize) -> f64,
+        mut store: impl FnMut(&mut D, usize, f64),
+    ) {
         assert_eq!(
             scratch.line.len(),
             self.n,
@@ -886,16 +922,16 @@ impl DctPlan {
         let mut line = std::mem::take(&mut scratch.line);
         // Rebuild the complex spectrum V[k] = e^{+i pi k/2n} (C[k] - i C[n-k])
         // from the real DCT coefficients (C = unnormalized DCT-II values).
-        let c0 = s[0] / self.scale[0];
+        let c0 = load(data, 0) / self.scale[0];
         line[0] = Cpx::new(c0, 0.0);
         for k in 1..self.n {
-            let ck = s[k] / self.scale[k];
-            let cnk = s[self.n - k] / self.scale[self.n - k];
+            let ck = load(data, k) / self.scale[k];
+            let cnk = load(data, self.n - k) / self.scale[self.n - k];
             line[k] = self.shift[k].conj() * Cpx::new(ck, -cnk);
         }
         self.fft.inverse(&mut line, scratch);
         for (i, &p) in self.perm.iter().enumerate() {
-            out[p as usize] = line[i].re;
+            store(data, p as usize, line[i].re);
         }
         scratch.line = line;
     }
@@ -903,38 +939,51 @@ impl DctPlan {
     /// Pair-packed forward DCT-II: transforms **two** real lines with a
     /// single complex DFT by packing them as real/imaginary parts — the
     /// classic two-for-one real-FFT trick, halving the dominant cost of
-    /// batched 2-D transforms.
+    /// batched multi-line transforms.
     ///
-    /// `load(i)` must return sample `i` of both lines; `store(k, c1, c2)`
-    /// receives coefficient `k` of each.
+    /// `load(data, i)` must return sample `i` of both lines;
+    /// `store(data, k, c1, c2)` receives coefficient `k` of each. Every
+    /// load precedes the first store, so both may address the same
+    /// elements of `data`: the pair can be transformed in place.
     ///
     /// # Panics
     ///
     /// Panics if `scratch` came from another plan.
-    pub fn forward_pair_with(
+    pub fn forward_pair_with<D: ?Sized>(
         &self,
         scratch: &mut FftScratch,
-        load: impl Fn(usize) -> (f64, f64),
-        mut store: impl FnMut(usize, f64, f64),
+        data: &mut D,
+        load: impl Fn(&D, usize) -> (f64, f64),
+        mut store: impl FnMut(&mut D, usize, f64, f64),
     ) {
         let n = self.n;
         assert_eq!(scratch.line.len(), n, "scratch not sized for this plan");
         let mut line = std::mem::take(&mut scratch.line);
         for (v, &p) in line.iter_mut().zip(self.perm.iter()) {
-            let (a, b) = load(p as usize);
+            let (a, b) = load(data, p as usize);
             *v = Cpx::new(a, b);
         }
         self.fft.forward(&mut line, scratch);
         // With V = DFT(v_a + i v_b): A[k] = (V[k] + conj(V[n-k]))/2 and
         // B[k] = (V[k] - conj(V[n-k]))/2i are the individual spectra.
-        store(0, line[0].re * self.scale[0], line[0].im * self.scale[0]);
+        store(
+            data,
+            0,
+            line[0].re * self.scale[0],
+            line[0].im * self.scale[0],
+        );
         for k in 1..n {
             let vk = line[k];
             let vm = line[n - k];
             let a = Cpx::new(vk.re + vm.re, vk.im - vm.im).scale(0.5);
             let b = Cpx::new(vk.im + vm.im, vm.re - vk.re).scale(0.5);
             let sh = self.shift[k];
-            store(k, (sh * a).re * self.scale[k], (sh * b).re * self.scale[k]);
+            store(
+                data,
+                k,
+                (sh * a).re * self.scale[k],
+                (sh * b).re * self.scale[k],
+            );
         }
         scratch.line = line;
     }
@@ -942,17 +991,19 @@ impl DctPlan {
     /// Pair-packed inverse DCT-III: reconstructs **two** real lines with
     /// a single complex inverse DFT (see [`Self::forward_pair_with`]).
     ///
-    /// `load(k)` must return coefficient `k` of both lines;
-    /// `store(i, x1, x2)` receives sample `i` of each.
+    /// `load(data, k)` must return coefficient `k` of both lines;
+    /// `store(data, i, x1, x2)` receives sample `i` of each (in place,
+    /// as for [`Self::forward_pair_with`]).
     ///
     /// # Panics
     ///
     /// Panics if `scratch` came from another plan.
-    pub fn inverse_pair_with(
+    pub fn inverse_pair_with<D: ?Sized>(
         &self,
         scratch: &mut FftScratch,
-        load: impl Fn(usize) -> (f64, f64),
-        mut store: impl FnMut(usize, f64, f64),
+        data: &mut D,
+        load: impl Fn(&D, usize) -> (f64, f64),
+        mut store: impl FnMut(&mut D, usize, f64, f64),
     ) {
         let n = self.n;
         assert_eq!(scratch.line.len(), n, "scratch not sized for this plan");
@@ -962,7 +1013,7 @@ impl DctPlan {
         // P[k] = (C1[k] + i C2[k]) / scale[k]; by linearity the packed
         // spectrum is V[k] = conj(shift[k]) (P[k] - i P[n-k]), V[0] = P[0].
         for (k, p) in packed.iter_mut().enumerate() {
-            let (c1, c2) = load(k);
+            let (c1, c2) = load(data, k);
             let inv = 1.0 / self.scale[k];
             *p = Cpx::new(c1 * inv, c2 * inv);
         }
@@ -975,7 +1026,7 @@ impl DctPlan {
         }
         self.fft.inverse(&mut line, scratch);
         for (i, &p) in self.perm.iter().enumerate() {
-            store(p as usize, line[i].re, line[i].im);
+            store(data, p as usize, line[i].re, line[i].im);
         }
         scratch.line = line;
         scratch.line2 = packed;
@@ -1193,19 +1244,19 @@ mod tests {
             let mut a2 = vec![0.0; n];
             plan.forward_into(&x1, &mut a1, &mut scratch);
             plan.forward_into(&x2, &mut a2, &mut scratch);
-            let mut b1 = vec![0.0; n];
-            let mut b2 = vec![0.0; n];
+            let mut b = [vec![0.0; n], vec![0.0; n]];
             plan.forward_pair_with(
                 &mut scratch,
-                |i| (x1[i], x2[i]),
-                |k, c1, c2| {
-                    b1[k] = c1;
-                    b2[k] = c2;
+                &mut b,
+                |_, i| (x1[i], x2[i]),
+                |b, k, c1, c2| {
+                    b[0][k] = c1;
+                    b[1][k] = c2;
                 },
             );
             for k in 0..n {
-                assert!((a1[k] - b1[k]).abs() < 1e-10, "n={n} line 1 k={k}");
-                assert!((a2[k] - b2[k]).abs() < 1e-10, "n={n} line 2 k={k}");
+                assert!((a1[k] - b[0][k]).abs() < 1e-10, "n={n} line 1 k={k}");
+                assert!((a2[k] - b[1][k]).abs() < 1e-10, "n={n} line 2 k={k}");
             }
         }
     }
@@ -1221,19 +1272,19 @@ mod tests {
             let mut a2 = vec![0.0; n];
             plan.inverse_into(&s1, &mut a1, &mut scratch);
             plan.inverse_into(&s2, &mut a2, &mut scratch);
-            let mut b1 = vec![0.0; n];
-            let mut b2 = vec![0.0; n];
+            let mut b = [vec![0.0; n], vec![0.0; n]];
             plan.inverse_pair_with(
                 &mut scratch,
-                |k| (s1[k], s2[k]),
-                |i, v1, v2| {
-                    b1[i] = v1;
-                    b2[i] = v2;
+                &mut b,
+                |_, k| (s1[k], s2[k]),
+                |b, i, v1, v2| {
+                    b[0][i] = v1;
+                    b[1][i] = v2;
                 },
             );
             for i in 0..n {
-                assert!((a1[i] - b1[i]).abs() < 1e-10, "n={n} line 1 i={i}");
-                assert!((a2[i] - b2[i]).abs() < 1e-10, "n={n} line 2 i={i}");
+                assert!((a1[i] - b[0][i]).abs() < 1e-10, "n={n} line 1 i={i}");
+                assert!((a2[i] - b[1][i]).abs() < 1e-10, "n={n} line 2 i={i}");
             }
         }
     }

@@ -357,12 +357,12 @@ pub fn soft_threshold(x: f64, t: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dct::Dct2d;
-    use crate::measure::{MeasurementOperator, SamplePattern};
+    use crate::dct::{Dct1d, Dct2d, DctNd};
+    use crate::measure::{MeasurementOperator, NdSamplePattern, SamplePattern};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn sparse_signal(dct: &Dct2d, spikes: &[(usize, f64)]) -> (Vec<f64>, Vec<f64>) {
+    fn sparse_signal(dct: &DctNd, spikes: &[(usize, f64)]) -> (Vec<f64>, Vec<f64>) {
         let mut coeffs = vec![0.0; dct.len()];
         for &(i, v) in spikes {
             coeffs[i] = v;
@@ -557,8 +557,6 @@ mod tests {
         let y = pattern.gather(&full);
         assert_refit_matches_dense_reference(&MeasurementOperator::new(&dct, &pattern), &y);
 
-        use crate::dct::DctNd;
-        use crate::measure::{MeasurementOperatorNd, NdSamplePattern};
         let dims = [3usize, 4, 5, 6];
         let dct = DctNd::new(&dims);
         let mut coeffs = vec![0.0; dct.len()];
@@ -568,7 +566,7 @@ mod tests {
         let full = dct.inverse(&coeffs);
         let pattern = NdSamplePattern::random(&dims, 0.5, &mut rng);
         let y = pattern.gather(&full);
-        assert_refit_matches_dense_reference(&MeasurementOperatorNd::new(&dct, &pattern), &y);
+        assert_refit_matches_dense_reference(&MeasurementOperator::new(&dct, &pattern), &y);
     }
 
     #[test]
@@ -722,18 +720,16 @@ mod tests {
         let cfg = FistaConfig::default();
         let mut rng = StdRng::seed_from_u64(41);
         for dct in [
-            Dct2d::new_dense(12, 16),
-            Dct2d::new_fast(36, 40),
-            Dct2d::new_bluestein(33, 35),
+            DctNd::from_axes(vec![Dct1d::new_dense(12), Dct1d::new_dense(16)]),
+            DctNd::from_axes(vec![Dct1d::new_fast(36), Dct1d::new_fast(40)]),
+            DctNd::from_axes(vec![Dct1d::new_bluestein(33), Dct1d::new_bluestein(35)]),
         ] {
             let (_, full) = sparse_signal(&dct, &spikes);
-            let pattern = SamplePattern::random(dct.rows(), dct.cols(), 0.3, &mut rng);
+            let pattern = NdSamplePattern::random(dct.shape(), 0.3, &mut rng);
             let y = pattern.gather(&full);
             assert_restart_matches_plain_fista(&MeasurementOperator::new(&dct, &pattern), &y, &cfg);
         }
 
-        use crate::dct::DctNd;
-        use crate::measure::{MeasurementOperatorNd, NdSamplePattern};
         let dims = [3usize, 4, 5, 6];
         let dct = DctNd::new(&dims);
         let mut coeffs = vec![0.0; dct.len()];
@@ -743,7 +739,7 @@ mod tests {
         let full = dct.inverse(&coeffs);
         let pattern = NdSamplePattern::random(&dims, 0.3, &mut rng);
         let y = pattern.gather(&full);
-        assert_restart_matches_plain_fista(&MeasurementOperatorNd::new(&dct, &pattern), &y, &cfg);
+        assert_restart_matches_plain_fista(&MeasurementOperator::new(&dct, &pattern), &y, &cfg);
     }
 
     #[test]
@@ -811,9 +807,6 @@ mod tests {
 
     #[test]
     fn recovers_sparse_signal_through_nd_operator() {
-        use crate::dct::DctNd;
-        use crate::measure::{MeasurementOperatorNd, NdSamplePattern};
-
         let dct = DctNd::new(&[6, 5, 7]);
         let mut coeffs = vec![0.0; dct.len()];
         coeffs[0] = 4.0;
@@ -823,35 +816,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(17);
         let pattern = NdSamplePattern::random(&[6, 5, 7], 0.4, &mut rng);
         let y = pattern.gather(&full);
-        let op = MeasurementOperatorNd::new(&dct, &pattern);
+        let op = MeasurementOperator::new(&dct, &pattern);
         let res = fista(&op, &y, &FistaConfig::default());
         for (i, (&c, &r)) in coeffs.iter().zip(res.coefficients.iter()).enumerate() {
             assert!((c - r).abs() < 0.05, "coef {i}: true {c} rec {r}");
-        }
-    }
-
-    #[test]
-    fn nd_operator_on_2d_shape_matches_2d_operator() {
-        // A [rows, cols] tensor operator and the dedicated 2-D operator
-        // describe the same sensing matrix; FISTA must agree closely.
-        let rows = 9;
-        let cols = 11;
-        let dct2 = Dct2d::new(rows, cols);
-        let dctn = crate::dct::DctNd::new(&[rows, cols]);
-        let (_, full) = sparse_signal(&dct2, &[(2, 2.0), (14, -1.0)]);
-        let mut rng = StdRng::seed_from_u64(9);
-        let pattern = SamplePattern::random(rows, cols, 0.4, &mut rng);
-        let nd_pattern = crate::measure::NdSamplePattern::from_indices(
-            &[rows, cols],
-            pattern.indices().to_vec(),
-        );
-        let y = pattern.gather(&full);
-        let op2 = MeasurementOperator::new(&dct2, &pattern);
-        let opn = crate::measure::MeasurementOperatorNd::new(&dctn, &nd_pattern);
-        let a = fista(&op2, &y, &FistaConfig::default());
-        let b = fista(&opn, &y, &FistaConfig::default());
-        for (x, z) in a.coefficients.iter().zip(&b.coefficients) {
-            assert!((x - z).abs() < 1e-9, "{x} vs {z}");
         }
     }
 

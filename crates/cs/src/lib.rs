@@ -2,10 +2,11 @@
 //!
 //! The mathematical core of OSCAR (paper §4 and Appendix A):
 //!
-//! * [`dct`] — orthonormal DCT-II/III in 1-D, separable 2-D, and N-D
-//!   form, the sparsifying basis `Ψ`, with interchangeable dense
-//!   (O(n²), tiny sizes + test oracle) and FFT (O(n log n), default
-//!   from `n >= 32`) kernels;
+//! * [`dct`] — orthonormal DCT-II/III in 1-D and separable N-D form
+//!   (one engine for every rank; `Dct2d` is its rank-2 name), the
+//!   sparsifying basis `Ψ`, with interchangeable dense (O(n²), tiny
+//!   sizes + test oracle) and FFT (O(n log n), default from `n >= 32`,
+//!   two lines per complex DFT) kernels;
 //! * [`fft`] — the FFT machinery behind the fast kernel: radix-2 for
 //!   powers of two, Stockham mixed-radix (dedicated 2/3/4/5
 //!   butterflies) for every other size with a prime factor `<= 31` —
@@ -15,8 +16,10 @@
 //!   jobs at the same grid side share twiddle/chirp tables (each on
 //!   the cheapest decomposition for its size) and DCT synthesis tables;
 //! * [`measure`] — random sampling patterns and the measurement operator
-//!   `A = C Ψ` with its adjoint (the 2-D one evaluates only the sampled
-//!   points where that costs less than a full transform);
+//!   `A = C Ψ` with its adjoint, one of each for every rank
+//!   (`SamplePattern` and `MeasurementOperator` are their rank-2 names);
+//!   the operator evaluates only the sampled points where that costs
+//!   less than a full transform;
 //! * [`fista`] — the sparse solver: FISTA for the l1 (LASSO) recovery
 //!   program, then an exact least-squares refit of the recovered support;
 //! * [`workspace`] — reusable scratch making the solver hot loops
@@ -25,22 +28,23 @@
 //!
 //! # Example
 //!
-//! Recover a sparse landscape from 35% of its points:
+//! Recover a sparse 10x10 landscape from 35% of its points (any other
+//! shape, of any rank, goes through the same three types):
 //!
 //! ```
 //! use oscar_cs::prelude::*;
 //! use rand::SeedableRng;
 //!
-//! let dct = Dct2d::new(10, 10);
+//! let dct = DctNd::new(&[10, 10]);
 //! let mut coeffs = vec![0.0; 100];
 //! coeffs[0] = 4.0;
 //! coeffs[21] = -1.0;
 //! let landscape = dct.inverse(&coeffs);
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let pattern = SamplePattern::random(10, 10, 0.35, &mut rng);
+//! let pattern = NdSamplePattern::random(&[10, 10], 0.35, &mut rng);
 //! let y = pattern.gather(&landscape);
-//! let op = MeasurementOperator::new(&dct, &pattern);
+//! let op = MeasurementOperatorNd::new(&dct, &pattern);
 //! let sol = fista(&op, &y, &FistaConfig::default());
 //! let recon = dct.inverse(&sol.coefficients);
 //! let err: f64 = recon.iter().zip(&landscape).map(|(a, b)| (a - b).abs()).sum();

@@ -12,105 +12,57 @@
 //! parallel transforms do allocate; see the `oscar-par` crate docs.)
 //!
 //! A workspace is keyed by buffer sizes only, so one instance can be
-//! reused across solves, operators (2-D or N-D), and sampling patterns;
+//! reused across solves, operators of any shape, and sampling patterns;
 //! [`Workspace::ensure`] regrows buffers on first use with a new
 //! problem shape and is a no-op afterwards.
 
-use crate::dct::{Dct2d, Dct2dScratch, DctNd, DctNdScratch};
+use crate::dct::{Dct1d, DctNd, DctNdScratch};
 use crate::measure::SensingOperator;
 
-/// Transform-specific scratch inside an [`OperatorScratch`]: either a
-/// 2-D separable DCT's buffers or an N-D transform's per-axis lines.
-#[derive(Debug)]
-pub(crate) enum TransformScratch {
-    /// Scratch for a [`Dct2d`].
-    D2(Dct2dScratch),
-    /// Scratch for a [`DctNd`].
-    Nd(DctNdScratch),
-}
-
-/// Transform identity an [`OperatorScratch`] was sized for. The dense
-/// kernel and each FFT decomposition (radix-2 / mixed-radix /
-/// Bluestein) of the same grid need differently shaped scratch, so the
-/// per-axis kernel ids are part of the key alongside the extents. A 2-D
-/// key also records whether the scratch holds the column pass's buffers
-/// (`true`) or serves row passes only.
-#[derive(Debug, PartialEq, Eq)]
-enum ScratchKey {
-    D2(usize, usize, (u8, u8), bool),
-    Nd(Vec<usize>, Vec<u8>),
-}
-
 /// Scratch for one forward or adjoint application of a sensing
-/// operator: the full-grid landscape buffer plus the transform's
-/// internal scratch.
+/// operator: two tensor-sized buffers plus the transform's internal
+/// scratch, keyed by the transform it was sized for.
 #[derive(Debug)]
 pub struct OperatorScratch {
-    /// Full-grid buffer (`signal_len` entries): `Ψ s` or the scattered
-    /// residual for a full transform, the transformed coefficient rows
-    /// or the transposed accumulator for a 2-D sample-point apply.
+    /// Tensor-sized buffer (`signal_len` entries): `Ψ s` or the
+    /// scattered residual for a full transform; for a sample-point
+    /// apply, the transformed leading slabs or the accumulator, stored
+    /// transposed.
     pub(crate) grid: Vec<f64>,
-    /// Separable-transform scratch sized for the operator's grid.
-    pub(crate) transform: TransformScratch,
-    /// Transform the scratch was sized for.
-    key: ScratchKey,
+    /// Tensor-sized buffer the sample-point forward transforms the
+    /// leading slabs in before transposing them into `grid`.
+    pub(crate) tmp: Vec<f64>,
+    /// Separable-transform scratch sized for the operator's tensor.
+    pub(crate) transform: DctNdScratch,
+    /// Shape and per-axis kernel ids the scratch was sized for: the
+    /// dense kernel and each FFT decomposition (radix-2 / mixed-radix /
+    /// Bluestein) of one length need differently shaped scratch.
+    shape: Vec<usize>,
+    kernels: Vec<u8>,
 }
 
 impl OperatorScratch {
-    /// Builds scratch sized for `dct`'s grid, for every apply on it.
-    pub fn new(dct: &Dct2d) -> Self {
-        OperatorScratch::new_2d(dct, true)
-    }
-
-    /// Builds scratch sized for `dct`'s grid; without `full_transform`
-    /// it serves the row passes of sample-point applies only.
-    pub(crate) fn new_2d(dct: &Dct2d, full_transform: bool) -> Self {
-        let transform = if full_transform {
-            dct.make_scratch()
-        } else {
-            dct.make_row_scratch()
-        };
+    /// Builds scratch sized for `dct`'s tensor.
+    pub(crate) fn new(dct: &DctNd) -> Self {
         OperatorScratch {
             grid: vec![0.0; dct.len()],
-            transform: TransformScratch::D2(transform),
-            key: ScratchKey::D2(dct.rows(), dct.cols(), dct.kernel_kinds(), full_transform),
+            tmp: vec![0.0; dct.len()],
+            transform: dct.make_scratch(),
+            shape: dct.shape().to_vec(),
+            kernels: dct.axes().iter().map(Dct1d::kernel_id).collect(),
         }
     }
 
-    /// Builds scratch sized for an N-D transform's tensor.
-    pub fn new_nd(dct: &DctNd) -> Self {
-        OperatorScratch {
-            grid: vec![0.0; dct.len()],
-            transform: TransformScratch::Nd(dct.make_scratch()),
-            key: ScratchKey::Nd(dct.shape().to_vec(), dct.kernel_ids()),
-        }
-    }
-
-    /// Rebuilds for a different 2-D transform (grid size or kernel), or
-    /// for a full transform when the scratch serves row passes only, if
-    /// needed.
-    pub(crate) fn ensure(&mut self, dct: &Dct2d, full_transform: bool) {
-        let fits = match self.key {
-            ScratchKey::D2(rows, cols, kinds, full) => {
-                (rows, cols, kinds) == (dct.rows(), dct.cols(), dct.kernel_kinds())
-                    && (full || !full_transform)
-            }
-            ScratchKey::Nd(..) => false,
-        };
+    /// Rebuilds for a different transform (shape or kernels) if needed.
+    pub(crate) fn ensure(&mut self, dct: &DctNd) {
+        let fits = self.shape == dct.shape()
+            && self
+                .kernels
+                .iter()
+                .copied()
+                .eq(dct.axes().iter().map(Dct1d::kernel_id));
         if !fits {
-            *self = OperatorScratch::new_2d(dct, full_transform);
-        }
-    }
-
-    /// Rebuilds for a different N-D transform (shape or kernels) if
-    /// needed.
-    pub(crate) fn ensure_nd(&mut self, dct: &DctNd) {
-        let matches = match &self.key {
-            ScratchKey::Nd(shape, kinds) => shape == dct.shape() && *kinds == dct.kernel_ids(),
-            ScratchKey::D2(..) => false,
-        };
-        if !matches {
-            *self = OperatorScratch::new_nd(dct);
+            *self = OperatorScratch::new(dct);
         }
     }
 }
@@ -148,7 +100,7 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Builds a workspace sized for `op` (2-D or N-D).
+    /// Builds a workspace sized for `op`.
     pub fn for_operator<O: SensingOperator + ?Sized>(op: &O) -> Self {
         let n = op.signal_len();
         let m = op.measurement_len();
@@ -190,6 +142,7 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dct::Dct2d;
     use crate::measure::{MeasurementOperator, SamplePattern};
 
     #[test]
@@ -212,8 +165,8 @@ mod tests {
         // Same grid shape, different kernels: a workspace warmed on the
         // dense operator must rebuild its transform scratch for the FFT
         // operator instead of tripping the plan-size assertions.
-        let dense = Dct2d::new_dense(40, 40);
-        let fast = Dct2d::new_fast(40, 40);
+        let dense = DctNd::from_axes(vec![Dct1d::new_dense(40), Dct1d::new_dense(40)]);
+        let fast = DctNd::from_axes(vec![Dct1d::new_fast(40), Dct1d::new_fast(40)]);
         let mut rng = StdRng::seed_from_u64(3);
         let pattern = SamplePattern::random(40, 40, 0.3, &mut rng);
         let mut coeffs = vec![0.0; 1600];
@@ -243,7 +196,7 @@ mod tests {
         // Same grid, same "fast" flag, different DFT decomposition:
         // the kernel id in the key must force a scratch rebuild when a
         // mixed-radix-warmed workspace meets a Bluestein operator.
-        let blue = Dct2d::new_bluestein(40, 40);
+        let blue = DctNd::from_axes(vec![Dct1d::new_bluestein(40), Dct1d::new_bluestein(40)]);
         let op_blue = MeasurementOperator::new(&blue, &pattern);
         let d = fista_with(&op_blue, &y, &cfg, &mut ws);
         for (x, w) in b.coefficients.iter().zip(&d.coefficients) {
@@ -268,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn ensure_adapts_between_2d_and_nd_operators() {
+    fn ensure_adapts_between_ranks() {
         use crate::measure::{MeasurementOperatorNd, NdSamplePattern};
 
         let dct2 = Dct2d::new(4, 6);

@@ -48,19 +48,6 @@ proptest! {
         prop_assert!(f90 > 0.0 && f99 <= 1.0);
     }
 
-    /// Gather/truncate consistency: a truncated pattern gathers a prefix.
-    #[test]
-    fn truncated_pattern_gathers_prefix(seed in 0u64..500, keep in 1usize..20) {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pattern = SamplePattern::random(8, 8, 0.5, &mut rng);
-        let keep = keep.min(pattern.num_samples());
-        let full: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let all = pattern.gather(&full);
-        let t = pattern.truncated(keep);
-        prop_assert_eq!(t.gather(&full), all[..keep].to_vec());
-    }
-
     /// FISTA's residual never exceeds ||y|| (the zero solution's residual,
     /// which the solver must at least match).
     #[test]
@@ -193,8 +180,8 @@ mod fft_vs_dense {
     fn dct2d_fast_matches_dense_on_grids() {
         let mut rng = StdRng::seed_from_u64(105);
         for &(rows, cols) in &[(33usize, 50usize), (50, 100), (144, 225), (40, 257)] {
-            let dense = Dct2d::new_dense(rows, cols);
-            let fast = Dct2d::new_fast(rows, cols);
+            let dense = DctNd::from_axes(vec![Dct1d::new_dense(rows), Dct1d::new_dense(cols)]);
+            let fast = DctNd::from_axes(vec![Dct1d::new_fast(rows), Dct1d::new_fast(cols)]);
             let x = random_signal(rows * cols, &mut rng);
             let a = dense.forward(&x);
             let b = fast.forward(&x);
@@ -226,10 +213,11 @@ mod fft_vs_dense {
 
 /// The N-D transform's dense axes run as strided batched passes; these
 /// tests pin them bit for bit to the straightforward algorithm — gather
-/// every line, transform it with [`Dct1d`], scatter it back — and
-/// rank-2 tensors to [`Dct2d`].
+/// every line, transform it with [`Dct1d`], scatter it back — and its
+/// pair-packed FFT axes to output hashes recorded from the dedicated
+/// 2-D transform it replaced.
 mod dctnd_bit_identity {
-    use oscar_cs::dct::{Dct1d, Dct2d, DctNd};
+    use oscar_cs::dct::{Dct1d, DctNd};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -306,7 +294,7 @@ mod dctnd_bit_identity {
             vec![3usize; 8],
             vec![3, 4, 5],
             vec![2, 3, 5, 7],
-            vec![5, 40, 3],
+            vec![5, 31, 3],
             vec![31, 2],
             vec![10, 10, 10],
             vec![7, 13, 11],
@@ -333,119 +321,262 @@ mod dctnd_bit_identity {
         }
     }
 
+    /// FNV-1a over the output's bit patterns.
+    fn bit_hash(v: &[f64]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for b in v.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Whole rows of `+0.0` and `-0.0` between random ones, so that the
+    /// FFT passes meet all-zero line pairs (and, on odd row counts, an
+    /// all-zero last line).
+    fn zero_lines_signal(shape: &[usize], rng: &mut StdRng) -> Vec<f64> {
+        let cols = shape[1];
+        (0..shape[0] * cols)
+            .map(|i| match (i / cols) % 5 {
+                0 => rng.gen_range(-2.0..2.0),
+                1 | 3 => -0.0,
+                _ => 0.0,
+            })
+            .collect()
+    }
+
+    /// Rank-2 output bits of forward and inverse, on a salted dense, a
+    /// sparse, a zero-lines and an all `-0.0` input, against hashes recorded from the separate 2-D
+    /// transform (`Dct2d` with its own passes) before it was folded into
+    /// [`DctNd`]. The grids cover the serial strided path (50x100,
+    /// 32x40, rows > cols 100x50, odd Bluestein 33x35), the transposed
+    /// path with workers (144x225, odd columns, above `PAR_MIN_ELEMS`)
+    /// and the mixed dense/FFT grids (17x40, 45x7). The 144x225 hashes
+    /// are the multi-worker ones; they hold for any worker count.
     #[test]
-    fn rank2_dense_tensor_matches_dct2d_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(108);
-        for (rows, cols) in [(6usize, 10usize), (10, 12), (16, 20), (31, 31)] {
-            let d2 = Dct2d::new(rows, cols);
-            let dn = DctNd::new(&[rows, cols]);
-            for x in [
-                awkward_signal(rows * cols, &mut rng),
-                sparse_signal(rows * cols, &mut rng),
-            ] {
-                let what = format!("{rows}x{cols}");
-                assert_same_bits(&dn.forward(&x), &d2.forward(&x), &format!("forward {what}"));
-                assert_same_bits(&dn.inverse(&x), &d2.inverse(&x), &format!("inverse {what}"));
-            }
+    fn rank2_matches_recorded_dct2d_bits() {
+        let bluestein =
+            |r, c| DctNd::from_axes(vec![Dct1d::new_bluestein(r), Dct1d::new_bluestein(c)]);
+        let cases: [(DctNd, u64, [u64; 8]); 7] = [
+            (
+                DctNd::new(&[50, 100]),
+                300,
+                [
+                    0x11b6e1ba6802f0a2,
+                    0xaa28abb4a533e88f,
+                    0xe8b25fb43937f06c,
+                    0x2c7751a730f37306,
+                    0xcbb75888785ef2c2,
+                    0x3391f65ddb49145c,
+                    0x600f98ab98233825,
+                    0x304f5fbd01f54b25,
+                ],
+            ),
+            (
+                DctNd::new(&[32, 40]),
+                301,
+                [
+                    0x3d674f1d8c2bc652,
+                    0x6801edfa40dca579,
+                    0xa64dc52776dc73c6,
+                    0x5c15f6385295daa3,
+                    0xcafd3400ce75d77b,
+                    0xea69056cd5653d94,
+                    0x9213f0ec13614325,
+                    0x8e965bc536e0c325,
+                ],
+            ),
+            (
+                DctNd::new(&[100, 50]),
+                302,
+                [
+                    0x4dda55b3487ff99c,
+                    0x57f31a4e73f4fd31,
+                    0xfc4532d0cacd00de,
+                    0x4b08d9df7c76568e,
+                    0x50dd8dd6fd598b49,
+                    0x4940f8526e20e2e4,
+                    0x600f98ab98233825,
+                    0x23e60a4c81b4bea5,
+                ],
+            ),
+            (
+                bluestein(33, 35),
+                303,
+                [
+                    0x05ead881fe5c392b,
+                    0x6dbf732a9085cd3e,
+                    0xb6ecf9113b5c5f49,
+                    0x975e7435dd135b83,
+                    0xc5244711ebbcb371,
+                    0xbe0ff4fd38804e68,
+                    0xeee2bd85d54fe985,
+                    0x5bb7db64a3933305,
+                ],
+            ),
+            (
+                DctNd::new(&[144, 225]),
+                304,
+                [
+                    0x813e3e2587e17d45,
+                    0x118be96a340ff8f4,
+                    0x122b0edeef1e5680,
+                    0x53417d15210db9c3,
+                    0x980ef6650c435926,
+                    0x5da9ad867ce64912,
+                    0x0fef85e861d9fd25,
+                    0x0fef85e861d9fd25,
+                ],
+            ),
+            (
+                DctNd::new(&[17, 40]),
+                305,
+                [
+                    0xa30dc0915e4d60b5,
+                    0x6c3d0749cefe9b91,
+                    0x4c696ffaec10b210,
+                    0xc137891d34f81d3d,
+                    0x5be208f60443ffc2,
+                    0xa595a2149789690b,
+                    0x8eb24022b1ca2c25,
+                    0x8eb24022b1ca2c25,
+                ],
+            ),
+            (
+                DctNd::new(&[45, 7]),
+                306,
+                [
+                    0x279067c966a182c9,
+                    0xf938e1c243149c4c,
+                    0x0b83902711b8ead1,
+                    0x83390d5ccfd3287a,
+                    0x48b87ae6762e39e6,
+                    0x4fa6b1830f3c52a2,
+                    0xf68451b645612605,
+                    0xf68451b645612605,
+                ],
+            ),
+        ];
+        for (dct, seed, want) in cases {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let awkward = awkward_signal(dct.len(), &mut rng);
+            let sparse = sparse_signal(dct.len(), &mut rng);
+            let lines = zero_lines_signal(dct.shape(), &mut rng);
+            let negative_zeros = vec![-0.0; dct.len()];
+            let got = [&awkward, &sparse, &lines, &negative_zeros]
+                .map(|x| [bit_hash(&dct.forward(x)), bit_hash(&dct.inverse(x))]);
+            assert_eq!(
+                got.concat(),
+                want,
+                "{:?}: forward/inverse of awkward, sparse, zero-lines and -0.0 input",
+                dct.shape()
+            );
         }
     }
 }
 
-/// The 2-D [`MeasurementOperator`] evaluates only the sampled points
-/// (a row pass on the nonzero coefficient rows, then per-sample sums
-/// against the axis-0 table). These tests pin it to the plain
-/// definition — a full [`Dct2d`] inverse then a gather for `A s`, a
-/// scatter then a full forward for `Aᵀ y` — on every kernel kind, on
-/// odd, skinny and parallel-sized grids, and at the coefficient
-/// patterns that decide how many rows the forward transforms.
+/// The measurement operator evaluates only the sampled points where
+/// that is cheaper (a pass over the other axes of the nonzero leading
+/// slabs, then per-sample sums against the leading-axis table). These
+/// tests pin it to the plain definition — a full [`DctNd`] inverse then
+/// a gather for `A s`, a scatter then a full forward for `Aᵀ y` — on
+/// every kernel kind, at ranks 1 to 8 with dense and FFT leading axes,
+/// on odd, skinny and parallel-sized shapes, and at the coefficient
+/// patterns that decide how many slabs the forward transforms.
 mod sampled_operator {
-    use oscar_cs::dct::Dct2d;
-    use oscar_cs::measure::{MeasurementOperator, SamplePattern, SensingOperator};
+    use oscar_cs::dct::{Dct1d, DctNd};
+    use oscar_cs::measure::{MeasurementOperatorNd, NdSamplePattern, SensingOperator};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Grids covering every row-kernel/column-kernel pairing the
+    /// Shapes covering every leading-kernel/trailing-kernel pairing the
     /// operator meets.
-    fn grids() -> Vec<(&'static str, Dct2d)> {
+    fn shapes() -> Vec<(&'static str, DctNd)> {
+        let forced = |kernel: fn(usize) -> Dct1d, dims: &[usize]| {
+            DctNd::from_axes(dims.iter().map(|&d| kernel(d)).collect())
+        };
         vec![
-            ("dense 12x20", Dct2d::new(12, 20)),
-            ("dense odd rows 17x40", Dct2d::new(17, 40)),
-            ("mixed-radix 50x100", Dct2d::new(50, 100)),
-            ("fft odd rows 45x64", Dct2d::new(45, 64)),
-            ("rows > cols 100x50", Dct2d::new(100, 50)),
-            ("bluestein 37x41", Dct2d::new_bluestein(37, 41)),
-            ("forced dense 40x48", Dct2d::new_dense(40, 48)),
-            ("parallel 144x225", Dct2d::new(144, 225)),
+            ("dense 12x20", DctNd::new(&[12, 20])),
+            ("dense odd rows 17x40", DctNd::new(&[17, 40])),
+            ("mixed-radix 50x100", DctNd::new(&[50, 100])),
+            ("fft odd rows 45x64", DctNd::new(&[45, 64])),
+            ("rows > cols 100x50", DctNd::new(&[100, 50])),
+            ("bluestein 37x41", forced(Dct1d::new_bluestein, &[37, 41])),
+            ("forced dense 40x48", forced(Dct1d::new_dense, &[40, 48])),
+            ("parallel 144x225", DctNd::new(&[144, 225])),
+            ("rank 1 dense 17", DctNd::new(&[17])),
+            ("rank 1 fft 40", DctNd::new(&[40])),
+            ("fft leading 40x7", DctNd::new(&[40, 7])),
+            ("fft leading 33x5x6", DctNd::new(&[33, 5, 6])),
+            ("fft middle 3x40x5", DctNd::new(&[3, 40, 5])),
+            ("rank 4 dense 5x4x3x6", DctNd::new(&[5, 4, 3, 6])),
+            ("rank 4 fft leading 35x3x2x5", DctNd::new(&[35, 3, 2, 5])),
+            ("rank 8 3^8", DctNd::new(&[3; 8])),
         ]
     }
 
     /// A 10% and a 50% random pattern, a single sample, and full
-    /// sampling. On the FFT grids the densest two run some applies (all,
-    /// for full sampling) through the full transform instead of the
-    /// sample-point sums.
-    fn patterns(rows: usize, cols: usize, rng: &mut StdRng) -> Vec<SamplePattern> {
-        let n = rows * cols;
+    /// sampling. The densest two run some applies (all, for full
+    /// sampling) through the full transform instead of the sample-point
+    /// sums.
+    fn patterns(dims: &[usize], rng: &mut StdRng) -> Vec<NdSamplePattern> {
+        let n = dims.iter().product();
         vec![
-            SamplePattern::random(rows, cols, 0.1, rng),
-            SamplePattern::random(rows, cols, 0.5, rng),
-            SamplePattern::from_indices(rows, cols, vec![rng.gen_range(0..n)]),
-            SamplePattern::from_indices(rows, cols, (0..n).collect()),
+            NdSamplePattern::random(dims, 0.1, rng),
+            NdSamplePattern::random(dims, 0.5, rng),
+            NdSamplePattern::from_indices(dims, vec![rng.gen_range(0..n)]),
+            NdSamplePattern::from_indices(dims, (0..n).collect()),
         ]
     }
 
-    /// Coefficient grids: dense random, all zero (no row to transform),
-    /// nonzero only in the last row (every row must be transformed), a
-    /// typical low-frequency sparse iterate, and a mix of `-0.0` rows
-    /// with subnormal entries (`-0.0` is zero, a subnormal is not).
-    fn coefficient_sets(
-        rows: usize,
-        cols: usize,
-        rng: &mut StdRng,
-    ) -> Vec<(&'static str, Vec<f64>)> {
-        let n = rows * cols;
+    /// Coefficient tensors, viewed as `[rows][rest]` around the leading
+    /// axis: dense random, all zero (no slab to transform), nonzero only
+    /// in the last slab (every slab must be transformed), a typical
+    /// low-frequency sparse iterate, and a mix of `-0.0` slabs with
+    /// subnormal entries (`-0.0` is zero, a subnormal is not).
+    fn coefficient_sets(dims: &[usize], rng: &mut StdRng) -> Vec<(&'static str, Vec<f64>)> {
+        let n: usize = dims.iter().product();
+        let rows = dims[0];
+        let rest = n / rows;
         let dense: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let mut last_row = vec![0.0; n];
-        for v in &mut last_row[(rows - 1) * cols..] {
+        let mut last_slab = vec![0.0; n];
+        for v in &mut last_slab[(rows - 1) * rest..] {
             *v = rng.gen_range(-2.0..2.0);
         }
         let mut sparse = vec![0.0; n];
         for _ in 0..12 {
-            let (k, l) = (rng.gen_range(0..rows.min(4)), rng.gen_range(0..cols.min(9)));
-            sparse[k * cols + l] = rng.gen_range(-2.0..2.0);
+            let (k, l) = (rng.gen_range(0..rows.min(4)), rng.gen_range(0..rest.min(9)));
+            sparse[k * rest + l] = rng.gen_range(-2.0..2.0);
         }
         let mut tiny = vec![-0.0; n];
         let mid = rows / 2;
-        for l in (0..cols).step_by(3) {
-            tiny[mid * cols + l] = rng.gen_range(-1.5e-308..1.5e-308);
+        for l in (0..rest).step_by(3) {
+            tiny[mid * rest + l] = rng.gen_range(-1.5e-308..1.5e-308);
         }
         vec![
             ("dense", dense),
             ("all zero", vec![0.0; n]),
-            ("last row only", last_row),
-            ("sparse low rows", sparse),
+            ("last slab only", last_slab),
+            ("sparse low slabs", sparse),
             ("-0.0/subnormal mix", tiny),
         ]
     }
 
-    fn forward_reference(dct: &Dct2d, pattern: &SamplePattern, s: &[f64]) -> Vec<f64> {
-        let mut grid = vec![0.0; dct.len()];
-        dct.inverse_into(s, &mut grid, &mut dct.make_scratch());
-        pattern.gather(&grid)
+    fn forward_reference(dct: &DctNd, pattern: &NdSamplePattern, s: &[f64]) -> Vec<f64> {
+        pattern.gather(&dct.inverse(s))
     }
 
-    fn adjoint_reference(dct: &Dct2d, pattern: &SamplePattern, y: &[f64]) -> Vec<f64> {
+    fn adjoint_reference(dct: &DctNd, pattern: &NdSamplePattern, y: &[f64]) -> Vec<f64> {
         let mut grid = vec![0.0; dct.len()];
         for (&i, &v) in pattern.indices().iter().zip(y) {
             grid[i] = v;
         }
-        let mut out = vec![0.0; dct.len()];
-        dct.forward_into(&grid, &mut out, &mut dct.make_scratch());
-        out
+        dct.forward(&grid)
     }
 
     /// `got` equals `want` to 1e-12 relative to `want`'s largest entry,
     /// with a floor of 64 subnormal steps so rounding among subnormals
-    /// passes while a dropped subnormal row does not.
+    /// passes while a dropped subnormal slab does not.
     fn assert_close(got: &[f64], want: &[f64], what: &str) {
         let scale = want.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         let err = got
@@ -462,13 +593,12 @@ mod sampled_operator {
     #[test]
     fn forward_matches_inverse_then_gather() {
         let mut rng = StdRng::seed_from_u64(201);
-        for (name, dct) in grids() {
-            let (rows, cols) = (dct.rows(), dct.cols());
-            for pattern in patterns(rows, cols, &mut rng) {
-                let op = MeasurementOperator::new(&dct, &pattern);
+        for (name, dct) in shapes() {
+            for pattern in patterns(dct.shape(), &mut rng) {
+                let op = MeasurementOperatorNd::new(&dct, &pattern);
                 let mut scratch = op.make_scratch();
                 let mut out = vec![f64::NAN; pattern.num_samples()];
-                for (kind, s) in coefficient_sets(rows, cols, &mut rng) {
+                for (kind, s) in coefficient_sets(dct.shape(), &mut rng) {
                     op.forward_into(&s, &mut out, &mut scratch);
                     let what = format!("{name}, m={}, {kind}", pattern.num_samples());
                     assert_close(&out, &forward_reference(&dct, &pattern, &s), &what);
@@ -480,10 +610,9 @@ mod sampled_operator {
     #[test]
     fn adjoint_matches_scatter_then_forward() {
         let mut rng = StdRng::seed_from_u64(202);
-        for (name, dct) in grids() {
-            let (rows, cols) = (dct.rows(), dct.cols());
-            for pattern in patterns(rows, cols, &mut rng) {
-                let op = MeasurementOperator::new(&dct, &pattern);
+        for (name, dct) in shapes() {
+            for pattern in patterns(dct.shape(), &mut rng) {
+                let op = MeasurementOperatorNd::new(&dct, &pattern);
                 let mut scratch = op.make_scratch();
                 let mut out = vec![f64::NAN; dct.len()];
                 let m = pattern.num_samples();
@@ -500,23 +629,34 @@ mod sampled_operator {
     #[test]
     fn adjoint_is_the_transpose_of_forward() {
         let mut rng = StdRng::seed_from_u64(203);
-        for (name, dct) in grids() {
-            let (rows, cols) = (dct.rows(), dct.cols());
-            for pattern in patterns(rows, cols, &mut rng) {
-                let op = MeasurementOperator::new(&dct, &pattern);
-                let s: Vec<f64> = (0..dct.len()).map(|_| rng.gen_range(-1.0..1.0)).collect();
-                let y: Vec<f64> = (0..pattern.num_samples())
-                    .map(|_| rng.gen_range(-1.0..1.0))
-                    .collect();
-                let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(u, v)| u * v).sum::<f64>();
-                let lhs = dot(&op.forward(&s), &y);
-                let rhs = dot(&s, &op.adjoint(&y));
-                let scale = dot(&s, &s).sqrt() * dot(&y, &y).sqrt();
-                assert!(
-                    (lhs - rhs).abs() <= 1e-12 * scale,
-                    "{name}, m={}: <As,y> {lhs} vs <s,A^T y> {rhs}",
-                    pattern.num_samples()
-                );
+        let dot = |a: &[f64], b: &[f64]| a.iter().zip(b).map(|(u, v)| u * v).sum::<f64>();
+        // ‖a‖₂ scaled by its largest entry, so subnormal vectors do not
+        // square to zero.
+        let norm = |a: &[f64]| {
+            let top = a.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            if top == 0.0 {
+                return 0.0;
+            }
+            top * a.iter().map(|v| (v / top) * (v / top)).sum::<f64>().sqrt()
+        };
+        for (name, dct) in shapes() {
+            for pattern in patterns(dct.shape(), &mut rng) {
+                let op = MeasurementOperatorNd::new(&dct, &pattern);
+                let mut scratch = op.make_scratch();
+                let (n, m) = (dct.len(), pattern.num_samples());
+                let y: Vec<f64> = (0..m).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                let mut aty = vec![0.0; n];
+                op.adjoint_into(&y, &mut aty, &mut scratch);
+                for (kind, s) in coefficient_sets(dct.shape(), &mut rng) {
+                    let mut a_s = vec![0.0; m];
+                    op.forward_into(&s, &mut a_s, &mut scratch);
+                    let (lhs, rhs) = (dot(&a_s, &y), dot(&s, &aty));
+                    let scale = norm(&s) * norm(&y);
+                    assert!(
+                        (lhs - rhs).abs() <= 1e-12 * scale,
+                        "{name}, m={m}, {kind}: <As,y> {lhs} vs <s,A^T y> {rhs}"
+                    );
+                }
             }
         }
     }

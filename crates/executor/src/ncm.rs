@@ -87,11 +87,6 @@ impl NoiseCompensationModel {
         self.slope * x + self.intercept
     }
 
-    /// Maps a batch of values.
-    pub fn transform_all(&self, xs: &[f64]) -> Vec<f64> {
-        xs.iter().map(|&x| self.transform(x)).collect()
-    }
-
     /// Fitted slope.
     pub fn slope(&self) -> f64 {
         self.slope

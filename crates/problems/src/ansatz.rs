@@ -3,7 +3,7 @@
 
 use crate::ising::IsingProblem;
 use oscar_qsim::circuit::{Circuit, Op, Param};
-use oscar_qsim::pauli::{Pauli, PauliString};
+use oscar_qsim::pauli::PauliString;
 
 /// A parameterized ansatz: a circuit plus metadata about its parameters.
 #[derive(Clone, Debug)]
@@ -178,12 +178,6 @@ impl Ansatz {
     pub fn expectation(&self, params: &[f64], observable: &oscar_qsim::pauli::PauliSum) -> f64 {
         let psi = self.circuit.run(params);
         psi.expectation(observable)
-    }
-
-    /// Builds a single-qubit Pauli operator list helper (exposed for
-    /// tests and custom generator construction).
-    pub fn pauli_on(n: usize, q: usize, p: Pauli) -> PauliString {
-        PauliString::single(n, q, p, 1.0)
     }
 }
 

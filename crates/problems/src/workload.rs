@@ -192,22 +192,6 @@ impl ProblemInstance {
         }
     }
 
-    /// The Ising problem, if this is a QAOA workload.
-    pub fn as_ising(&self) -> Option<(&IsingProblem, usize)> {
-        match self {
-            ProblemInstance::Ising { problem, depth } => Some((problem, *depth)),
-            ProblemInstance::Molecule(_) => None,
-        }
-    }
-
-    /// The molecule, if this is a VQE workload.
-    pub fn as_molecule(&self) -> Option<Molecule> {
-        match self {
-            ProblemInstance::Ising { .. } => None,
-            ProblemInstance::Molecule(m) => Some(*m),
-        }
-    }
-
     /// Builds the variational circuit for this workload (QAOA at the
     /// instance depth, or the molecule's reference ansatz).
     pub fn ansatz(&self) -> Ansatz {

@@ -133,11 +133,6 @@ impl PauliString {
         self.coeff
     }
 
-    /// Returns a copy with a different coefficient.
-    pub fn with_coeff(&self, coeff: f64) -> Self {
-        PauliString { coeff, ..*self }
-    }
-
     /// The X-component bit mask (Y contributes to both masks).
     pub fn x_mask(&self) -> u64 {
         self.x_mask

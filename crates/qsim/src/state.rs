@@ -102,23 +102,6 @@ impl StateVector {
         }
     }
 
-    /// Creates a state from raw amplitudes (must have power-of-two length).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a power of two or the norm is not ~1.
-    pub fn from_amplitudes(amps: Vec<C64>) -> Self {
-        let dim = amps.len();
-        assert!(dim.is_power_of_two() && dim >= 2, "length must be 2^n");
-        let n = dim.trailing_zeros() as usize;
-        let norm: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
-        assert!(
-            (norm - 1.0).abs() < 1e-6,
-            "state vector must be normalized (norm^2 = {norm})"
-        );
-        StateVector { n, amps }
-    }
-
     /// Number of qubits.
     pub fn num_qubits(&self) -> usize {
         self.n

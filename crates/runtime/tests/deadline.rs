@@ -15,13 +15,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// A deliberately heavy spec (a 30x30 landscape of 10-qubit
-/// evaluations, hundreds of milliseconds) that keeps a single executor
-/// busy while the test stages the queue behind it.
+/// A deliberately heavy spec (a 40x40 landscape of 12-qubit
+/// evaluations) that keeps a single executor busy while the test stages
+/// the queue behind it. It must outlast the tests' 20 ms windows in
+/// release builds too, where a 10-qubit 30x30 landscape finishes in
+/// 17–30 ms.
 fn blocker_spec(rng_seed: u64) -> JobSpec {
     let mut rng = StdRng::seed_from_u64(rng_seed);
-    let problem = IsingProblem::random_3_regular(10, &mut rng);
-    JobSpec::new(problem, Grid2d::small_p1(30, 30), 0.2, 0)
+    let problem = IsingProblem::random_3_regular(12, &mut rng);
+    JobSpec::new(problem, Grid2d::small_p1(40, 40), 0.2, 0)
 }
 
 fn quick_spec(rng_seed: u64, seed: u64) -> JobSpec {
@@ -65,11 +67,9 @@ fn wait_timeout_elapses_then_result_arrives() {
 #[test]
 fn wait_timeout_surfaces_executor_death() {
     let runtime = BatchRuntime::with_concurrency(1);
-    // A 12-qubit 40x40 blocker: it must still be running when the drop
-    // below lands, or the executor would go on to run `doomed`.
-    let mut rng = StdRng::seed_from_u64(32);
-    let problem = IsingProblem::random_3_regular(12, &mut rng);
-    let _blocker = runtime.submit(JobSpec::new(problem, Grid2d::small_p1(40, 40), 0.2, 0));
+    // The blocker must still be running when the drop below lands, or
+    // the executor would go on to run `doomed`.
+    let _blocker = runtime.submit(blocker_spec(32));
     wait_until_busy(&runtime);
     let doomed = runtime.submit(quick_spec(33, 1));
     // Drop the runtime from another thread while this one blocks in

@@ -122,8 +122,4 @@ impl RawClient {
             }
         }
     }
-
-    /// Drops the connection abruptly (consumes the client so nothing
-    /// can be read or written afterwards).
-    pub fn drop_now(self) {}
 }
