@@ -245,14 +245,32 @@ impl TensorShape {
     ///
     /// Panics if `i >= len()`.
     pub fn point(&self, i: usize) -> Vec<f64> {
-        assert!(i < self.len(), "flat index out of range");
         let mut out = vec![0.0; self.axes.len()];
+        self.point_into(i, &mut out);
+        out
+    }
+
+    /// [`Self::point`] written into `out` (one slot per axis), so a
+    /// sweep over many points allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len()` or `out.len() != rank()`.
+    pub fn point_into(&self, i: usize, out: &mut [f64]) {
+        assert!(i < self.len(), "flat index out of range");
+        assert_eq!(out.len(), self.axes.len(), "one coordinate per axis");
         let mut rem = i;
         for (k, axis) in self.axes.iter().enumerate().rev() {
             out[k] = axis.value(rem % axis.n);
             rem /= axis.n;
         }
-        out
+    }
+}
+
+impl From<Grid2d> for TensorShape {
+    /// The grid as a rank-2 tensor: axis 0 is β (rows), axis 1 is γ.
+    fn from(grid: Grid2d) -> Self {
+        TensorShape::new(vec![grid.beta, grid.gamma])
     }
 }
 
@@ -324,6 +342,14 @@ impl Shape {
                 .map(|&n| Axis::new(-FRAC_PI_2, FRAC_PI_2, n))
                 .collect(),
         ))
+    }
+
+    /// The shape's axes as a tensor (a grid is its rank-2 tensor).
+    pub fn to_tensor(&self) -> TensorShape {
+        match self {
+            Shape::Grid2d(g) => (*g).into(),
+            Shape::Tensor(t) => t.clone(),
+        }
     }
 
     /// Number of parameters the shape sweeps (2 for a grid).

@@ -110,7 +110,7 @@ pub struct BivariateSpline {
 impl BivariateSpline {
     /// Fits the interpolant to a landscape.
     pub fn fit(landscape: &Landscape) -> Self {
-        let grid = *landscape.grid();
+        let grid = landscape.grid();
         let gamma_values = grid.gamma.values();
         let row_splines = (0..grid.rows())
             .map(|r| {

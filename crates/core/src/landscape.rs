@@ -1,146 +1,18 @@
-//! Landscapes: cost values over a 2-D parameter grid or an N-D tensor.
+//! Landscapes: cost values over an N-D parameter tensor.
+//!
+//! [`NdLandscape`] is the one landscape type: generation, values,
+//! argmin, min/max and IQR live there. [`Landscape`] is its rank-2 view
+//! under the paper's `(β, γ)` grid names, and [`ShapedLandscape`] is the
+//! job pipeline's landscape of either shape; both dereference to the
+//! [`NdLandscape`] they hold and add no logic of their own.
 
 use crate::grid::{Grid2d, Shape, TensorShape};
 use oscar_qsim::qaoa::QaoaEvaluator;
-
-/// A cost landscape over a [`Grid2d`] (row-major values, rows = β).
-///
-/// # Examples
-///
-/// ```
-/// use oscar_core::grid::Grid2d;
-/// use oscar_core::landscape::Landscape;
-///
-/// let grid = Grid2d::small_p1(6, 8);
-/// let flat = Landscape::generate(grid, |beta, gamma| beta + gamma);
-/// assert_eq!(flat.values().len(), 48);
-/// ```
-#[derive(Clone, Debug, PartialEq)]
-pub struct Landscape {
-    grid: Grid2d,
-    values: Vec<f64>,
-}
-
-impl Landscape {
-    /// Wraps existing row-major values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != grid.len()`.
-    pub fn from_values(grid: Grid2d, values: Vec<f64>) -> Self {
-        assert_eq!(values.len(), grid.len(), "value count must match grid");
-        Landscape { grid, values }
-    }
-
-    /// Evaluates `f(beta, gamma)` at every grid point (the "grid search").
-    pub fn generate(grid: Grid2d, mut f: impl FnMut(f64, f64) -> f64) -> Self {
-        let mut values = Vec::with_capacity(grid.len());
-        for r in 0..grid.rows() {
-            let beta = grid.beta.value(r);
-            for c in 0..grid.cols() {
-                values.push(f(beta, grid.gamma.value(c)));
-            }
-        }
-        Landscape { grid, values }
-    }
-
-    /// Like [`Self::generate`], but with grid points evaluated in
-    /// parallel (row-aligned chunks across worker threads). Requires a
-    /// shareable evaluation closure; results are identical to
-    /// [`Self::generate`] for any pure `f`.
-    pub fn generate_par(grid: Grid2d, f: impl Fn(f64, f64) -> f64 + Sync) -> Self {
-        Landscape::generate_indexed_par(grid, |_, beta, gamma| f(beta, gamma))
-    }
-
-    /// Parallel generation where the closure also receives the flat
-    /// (row-major) point index — the hook for per-point seeded noise:
-    /// a counter-based draw keyed by the index makes the result
-    /// independent of chunk scheduling. Results are identical to a
-    /// serial index loop for any pure `f`.
-    pub fn generate_indexed_par(grid: Grid2d, f: impl Fn(usize, f64, f64) -> f64 + Sync) -> Self {
-        let cols = grid.cols();
-        let mut values = vec![0.0; grid.len()];
-        oscar_par::for_each_chunk_mut(&mut values, cols, |offset, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                let i = offset + k;
-                let beta = grid.beta.value(i / cols);
-                let gamma = grid.gamma.value(i % cols);
-                *v = f(i, beta, gamma);
-            }
-        });
-        Landscape { grid, values }
-    }
-
-    /// Generates the exact p=1 QAOA landscape using the fast evaluator.
-    ///
-    /// Grid points are independent circuit evaluations, so they run in
-    /// parallel across worker threads ([`Self::generate_par`]); inside a
-    /// worker the evaluator's own gate-level parallelism stands down
-    /// automatically (`oscar-par` regions do not nest).
-    pub fn from_qaoa(grid: Grid2d, eval: &QaoaEvaluator) -> Self {
-        Landscape::generate_par(grid, |beta, gamma| eval.expectation(&[beta], &[gamma]))
-    }
-
-    /// The grid.
-    pub fn grid(&self) -> &Grid2d {
-        &self.grid
-    }
-
-    /// Row-major values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Mutable access to the values (e.g. for noise injection).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
-    /// The value at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range indices.
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        assert!(row < self.grid.rows() && col < self.grid.cols());
-        self.values[row * self.grid.cols() + col]
-    }
-
-    /// The minimum value and its `(beta, gamma)` location.
-    pub fn argmin(&self) -> (f64, (f64, f64)) {
-        let (idx, &val) = self
-            .values
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("landscape is non-empty");
-        (val, self.grid.point(idx))
-    }
-
-    /// The maximum value.
-    pub fn max(&self) -> f64 {
-        self.values
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// The minimum value.
-    pub fn min(&self) -> f64 {
-        self.values.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Interquartile range `Q3 - Q1` of the values — the normalizer of the
-    /// paper's NRMSE metric (Eq. 1).
-    pub fn iqr(&self) -> f64 {
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        quantile_sorted(&sorted, 0.75) - quantile_sorted(&sorted, 0.25)
-    }
-}
+use std::ops::Deref;
 
 /// A cost landscape over a [`TensorShape`] (row-major values, last axis
-/// contiguous) — p >= 2 QAOA and VQE parameter scans.
+/// contiguous): p = 1 grids, p >= 2 QAOA tensors and VQE parameter
+/// scans alike.
 ///
 /// # Examples
 ///
@@ -174,28 +46,36 @@ impl NdLandscape {
         NdLandscape { shape, values }
     }
 
-    /// Evaluates `f(params)` at every tensor point, serially.
+    /// Evaluates `f(params)` at every tensor point, serially in
+    /// row-major order (the "grid search").
     pub fn generate(shape: TensorShape, mut f: impl FnMut(&[f64]) -> f64) -> Self {
-        let values = (0..shape.len()).map(|i| f(&shape.point(i))).collect();
+        let mut point = vec![0.0; shape.rank()];
+        let values = (0..shape.len())
+            .map(|i| {
+                shape.point_into(i, &mut point);
+                f(&point)
+            })
+            .collect();
         NdLandscape { shape, values }
     }
 
-    /// Parallel generation where the closure receives the flat
-    /// (row-major) point index and the parameter vector — the same
-    /// per-point counter-RNG hook as [`Landscape::generate_indexed_par`]:
-    /// keying any stochastic draw by `i` makes the result independent of
-    /// chunk scheduling. Results are identical to a serial index loop
-    /// for any pure `f`.
+    /// Parallel generation (last-axis-aligned chunks across worker
+    /// threads) where the closure also receives the flat row-major point
+    /// index: the hook for per-point seeded noise, since a counter-based
+    /// draw keyed by the index makes the result independent of chunk
+    /// scheduling. Results are identical to a serial index loop for any
+    /// pure `f`.
     pub fn generate_indexed_par(
         shape: TensorShape,
         f: impl Fn(usize, &[f64]) -> f64 + Sync,
     ) -> Self {
-        let chunk = shape.axes().last().map(|a| a.n).unwrap_or(1);
+        let granule = shape.axes()[shape.rank() - 1].n;
         let mut values = vec![0.0; shape.len()];
-        oscar_par::for_each_chunk_mut(&mut values, chunk, |offset, slice| {
-            for (k, v) in slice.iter_mut().enumerate() {
-                let i = offset + k;
-                *v = f(i, &shape.point(i));
+        oscar_par::for_each_chunk_mut(&mut values, granule, |offset, chunk| {
+            let mut point = vec![0.0; shape.rank()];
+            for (k, v) in chunk.iter_mut().enumerate() {
+                shape.point_into(offset + k, &mut point);
+                *v = f(offset + k, &point);
             }
         });
         NdLandscape { shape, values }
@@ -216,6 +96,28 @@ impl NdLandscape {
         &mut self.values
     }
 
+    /// The row-major values, consuming the landscape.
+    pub fn into_values(self) -> Vec<f64> {
+        self.values
+    }
+
+    /// The value at per-axis indices `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one in-range index per axis.
+    pub fn at(&self, index: &[usize]) -> f64 {
+        assert_eq!(index.len(), self.shape.rank(), "one index per axis");
+        let flat = index
+            .iter()
+            .zip(self.shape.axes())
+            .fold(0, |flat, (&i, axis)| {
+                assert!(i < axis.n, "index out of range");
+                flat * axis.n + i
+            });
+        self.values[flat]
+    }
+
     /// The minimum value and its parameter-vector location.
     pub fn argmin(&self) -> (f64, Vec<f64>) {
         let (idx, &val) = self
@@ -227,8 +129,21 @@ impl NdLandscape {
         (val, self.shape.point(idx))
     }
 
-    /// Interquartile range `Q3 - Q1` of the values (the paper's NRMSE
-    /// normalizer).
+    /// The maximum value.
+    pub fn max(&self) -> f64 {
+        self.values
+            .iter()
+            .copied()
+            .fold(f64::NEG_INFINITY, f64::max)
+    }
+
+    /// The minimum value.
+    pub fn min(&self) -> f64 {
+        self.values.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    /// Interquartile range `Q3 - Q1` of the values — the normalizer of the
+    /// paper's NRMSE metric (Eq. 1).
     pub fn iqr(&self) -> f64 {
         let mut sorted = self.values.clone();
         sorted.sort_by(|a, b| a.total_cmp(b));
@@ -236,8 +151,100 @@ impl NdLandscape {
     }
 }
 
+/// A cost landscape over a [`Grid2d`] (row-major values, rows = β): the
+/// rank-2 [`NdLandscape`] it dereferences to, under the grid's
+/// `(β, γ)` names.
+///
+/// # Examples
+///
+/// ```
+/// use oscar_core::grid::Grid2d;
+/// use oscar_core::landscape::Landscape;
+///
+/// let grid = Grid2d::small_p1(6, 8);
+/// let flat = Landscape::generate(grid, |beta, gamma| beta + gamma);
+/// assert_eq!(flat.values().len(), 48);
+/// ```
+#[derive(Clone, Debug, PartialEq)]
+pub struct Landscape(NdLandscape);
+
+impl Landscape {
+    /// Wraps existing row-major values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != grid.len()`.
+    pub fn from_values(grid: Grid2d, values: Vec<f64>) -> Self {
+        Landscape(NdLandscape::from_values(grid.into(), values))
+    }
+
+    /// [`NdLandscape::generate`] over the grid, as `f(beta, gamma)`.
+    pub fn generate(grid: Grid2d, mut f: impl FnMut(f64, f64) -> f64) -> Self {
+        Landscape(NdLandscape::generate(grid.into(), |p| f(p[0], p[1])))
+    }
+
+    /// [`NdLandscape::generate_indexed_par`] over the grid, as
+    /// `f(index, beta, gamma)`.
+    pub fn generate_indexed_par(grid: Grid2d, f: impl Fn(usize, f64, f64) -> f64 + Sync) -> Self {
+        Landscape(NdLandscape::generate_indexed_par(grid.into(), |i, p| {
+            f(i, p[0], p[1])
+        }))
+    }
+
+    /// Generates the exact p=1 QAOA landscape using the fast evaluator.
+    ///
+    /// Grid points are independent circuit evaluations, so they run in
+    /// parallel across worker threads ([`Self::generate_indexed_par`]);
+    /// inside a worker the evaluator's own gate-level parallelism stands
+    /// down automatically (`oscar-par` regions do not nest).
+    pub fn from_qaoa(grid: Grid2d, eval: &QaoaEvaluator) -> Self {
+        Landscape::generate_indexed_par(grid, |_, beta, gamma| eval.expectation(&[beta], &[gamma]))
+    }
+
+    /// The grid: the view's two axes under their β and γ names.
+    pub fn grid(&self) -> Grid2d {
+        let axes = self.0.shape().axes();
+        Grid2d::new(axes[0], axes[1])
+    }
+
+    /// The value at `(row, col)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices.
+    pub fn at(&self, row: usize, col: usize) -> f64 {
+        self.0.at(&[row, col])
+    }
+
+    /// The minimum value and its `(beta, gamma)` location.
+    pub fn argmin(&self) -> (f64, (f64, f64)) {
+        let (val, at) = self.0.argmin();
+        (val, (at[0], at[1]))
+    }
+
+    /// Views a rank-2 landscape under the grid names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `landscape` is not rank 2.
+    pub(crate) fn from_nd(landscape: NdLandscape) -> Self {
+        assert_eq!(landscape.shape().rank(), 2, "a grid landscape is rank 2");
+        Landscape(landscape)
+    }
+}
+
+impl Deref for Landscape {
+    type Target = NdLandscape;
+
+    fn deref(&self) -> &NdLandscape {
+        &self.0
+    }
+}
+
 /// A landscape of either shape, as produced by the shape-generic job
-/// pipeline: the classic 2-D grid variant or the N-D tensor variant.
+/// pipeline. Both variants hold an [`NdLandscape`], which this
+/// dereferences to; the variant records only which [`Shape`] the
+/// landscape came from.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShapedLandscape {
     /// A [`Landscape`] over a [`Grid2d`].
@@ -247,38 +254,16 @@ pub enum ShapedLandscape {
 }
 
 impl ShapedLandscape {
-    /// The shape this landscape sweeps.
-    pub fn shape(&self) -> Shape {
-        match self {
-            ShapedLandscape::Grid2d(l) => Shape::Grid2d(*l.grid()),
-            ShapedLandscape::Tensor(l) => Shape::Tensor(l.shape().clone()),
-        }
-    }
-
-    /// Per-axis point counts.
-    pub fn dims(&self) -> Vec<usize> {
-        match self {
-            ShapedLandscape::Grid2d(l) => vec![l.grid().rows(), l.grid().cols()],
-            ShapedLandscape::Tensor(l) => l.shape().dims(),
-        }
-    }
-
-    /// Row-major values.
-    pub fn values(&self) -> &[f64] {
-        match self {
-            ShapedLandscape::Grid2d(l) => l.values(),
-            ShapedLandscape::Tensor(l) => l.values(),
-        }
-    }
-
-    /// The minimum value and its parameter-vector location.
-    pub fn argmin(&self) -> (f64, Vec<f64>) {
-        match self {
-            ShapedLandscape::Grid2d(l) => {
-                let (v, (b, g)) = l.argmin();
-                (v, vec![b, g])
-            }
-            ShapedLandscape::Tensor(l) => l.argmin(),
+    /// Wraps row-major `values` over `shape`, in the matching variant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != shape.len()`.
+    pub fn from_values(shape: &Shape, values: Vec<f64>) -> Self {
+        let landscape = NdLandscape::from_values(shape.to_tensor(), values);
+        match shape {
+            Shape::Grid2d(_) => ShapedLandscape::Grid2d(Landscape::from_nd(landscape)),
+            Shape::Tensor(_) => ShapedLandscape::Tensor(landscape),
         }
     }
 
@@ -295,6 +280,17 @@ impl ShapedLandscape {
         match self {
             ShapedLandscape::Grid2d(_) => None,
             ShapedLandscape::Tensor(l) => Some(l),
+        }
+    }
+}
+
+impl Deref for ShapedLandscape {
+    type Target = NdLandscape;
+
+    fn deref(&self) -> &NdLandscape {
+        match self {
+            ShapedLandscape::Grid2d(l) => l,
+            ShapedLandscape::Tensor(l) => l,
         }
     }
 }
@@ -389,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "value count must match grid")]
+    #[should_panic(expected = "value count must match")]
     fn rejects_wrong_length() {
         let _ = Landscape::from_values(Grid2d::small_p1(3, 3), vec![0.0; 5]);
     }
@@ -430,7 +426,7 @@ mod tests {
         use crate::grid::Axis;
         let g = Landscape::generate(Grid2d::small_p1(3, 4), |b, g| b + g);
         let shaped: ShapedLandscape = g.clone().into();
-        assert_eq!(shaped.dims(), vec![3, 4]);
+        assert_eq!(shaped.shape().dims(), vec![3, 4]);
         assert_eq!(shaped.values(), g.values());
         let (v, at) = shaped.argmin();
         let (gv, (b, gm)) = g.argmin();
@@ -440,7 +436,49 @@ mod tests {
             p.iter().sum()
         });
         let shaped: ShapedLandscape = t.clone().into();
-        assert_eq!(shaped.dims(), vec![2, 2, 2]);
+        assert_eq!(shaped.shape().dims(), vec![2, 2, 2]);
         assert!(shaped.as_tensor().is_some() && shaped.as_grid2d().is_none());
+    }
+
+    #[test]
+    fn from_values_keeps_the_shape_variant() {
+        let grid = Grid2d::small_p1(3, 4);
+        let values: Vec<f64> = (0..12).map(f64::from).collect();
+        let shaped = ShapedLandscape::from_values(&Shape::Grid2d(grid), values.clone());
+        assert_eq!(
+            shaped.as_grid2d(),
+            Some(&Landscape::from_values(grid, values.clone()))
+        );
+        let rank2 = Shape::Tensor(grid.into());
+        let shaped = ShapedLandscape::from_values(&rank2, values.clone());
+        assert_eq!(
+            shaped.as_tensor(),
+            Some(&NdLandscape::from_values(grid.into(), values))
+        );
+    }
+
+    #[test]
+    fn grid_view_matches_its_rank2_landscape() {
+        let grid = Grid2d::small_p1(5, 7);
+        let f = |b: f64, g: f64| (b - 0.1).powi(2) + (g + 0.3).powi(2);
+        let l = Landscape::generate(grid, f);
+        let nd = NdLandscape::generate(grid.into(), |p| f(p[0], p[1]));
+        assert_eq!(*l, nd);
+        assert_eq!(l.grid(), grid);
+        assert_eq!(l.at(2, 3), nd.at(&[2, 3]));
+        assert_eq!(l.at(2, 3), l.values()[2 * 7 + 3]);
+        let (v, (b, g)) = l.argmin();
+        assert_eq!((v, vec![b, g]), nd.argmin());
+        assert_eq!(
+            *Landscape::generate_indexed_par(grid, |_, b, g| f(b, g)),
+            nd
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of range")]
+    fn at_rejects_out_of_range_index() {
+        let l = Landscape::generate(Grid2d::small_p1(3, 4), |b, g| b + g);
+        let _ = l.at(0, 4);
     }
 }

@@ -8,9 +8,11 @@
 //! three debugging use cases on top of the reconstruction.
 //!
 //! * [`grid`] / [`landscape`] — parameter grids (paper Table 1) and
-//!   landscapes over them;
+//!   landscapes over them: one type for every rank,
+//!   [`landscape::NdLandscape`], with the 2-D grid's
+//!   [`landscape::Landscape`] as its rank-2 view;
 //! * [`reconstruct::Reconstructor`] — the sampling + FISTA recovery
-//!   pipeline;
+//!   pipeline, one path for grids and tensors;
 //! * [`metrics`] — NRMSE and the landscape-shape metrics (Eqs. 1–4);
 //! * [`interpolate`] — rectangular bivariate splines for instant
 //!   optimizer queries;

@@ -1,14 +1,14 @@
 //! The OSCAR reconstruction pipeline (paper §4, Figure 3): random
 //! parameter sampling → circuit execution → compressed-sensing recovery.
 
-use crate::grid::{Grid2d, TensorShape};
+use crate::grid::Grid2d;
 use crate::landscape::{Landscape, NdLandscape};
 use crate::metrics::nrmse;
 use oscar_cs::dct::DctNd;
 use oscar_cs::fista::{fista_with, FistaConfig, FistaExit, FistaResult};
 use oscar_cs::measure::{MeasurementOperatorNd, NdSamplePattern, SamplePattern};
 use oscar_cs::workspace::Workspace;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 
 /// OSCAR reconstruction engine.
 ///
@@ -36,16 +36,16 @@ pub struct Reconstructor {
     pub fista: FistaConfig,
 }
 
-/// The outcome of a reconstruction experiment against known ground truth.
+/// The outcome of a reconstruction experiment against known ground
+/// truth, over a grid [`Landscape`] or (as [`NdReconstructionReport`])
+/// an [`NdLandscape`].
 #[derive(Clone, Debug)]
-pub struct ReconstructionReport {
+pub struct ReconstructionReport<L = Landscape> {
     /// The reconstructed landscape.
-    pub landscape: Landscape,
-    /// The sampling pattern used.
-    pub pattern: SamplePattern,
+    pub landscape: L,
     /// NRMSE against the ground truth (paper Eq. 1).
     pub nrmse: f64,
-    /// Number of circuit evaluations used (`pattern.num_samples()`).
+    /// Number of circuit evaluations used (sampled points).
     pub samples_used: usize,
     /// FISTA iterations performed.
     pub solver_iterations: usize,
@@ -56,26 +56,8 @@ pub struct ReconstructionReport {
     pub solver_refit: bool,
 }
 
-/// The outcome of an N-D reconstruction experiment against known ground
-/// truth (tensor counterpart of [`ReconstructionReport`]).
-#[derive(Clone, Debug)]
-pub struct NdReconstructionReport {
-    /// The reconstructed landscape.
-    pub landscape: NdLandscape,
-    /// The sampling pattern used.
-    pub pattern: NdSamplePattern,
-    /// NRMSE against the ground truth (paper Eq. 1).
-    pub nrmse: f64,
-    /// Number of circuit evaluations used (`pattern.num_samples()`).
-    pub samples_used: usize,
-    /// FISTA iterations performed.
-    pub solver_iterations: usize,
-    /// Why FISTA stopped: converged, or ran into its iteration cap.
-    pub solver_exit: FistaExit,
-    /// Whether the support was refitted by exact least squares
-    /// ([`FistaResult::refit`]); `false` when the refit was skipped.
-    pub solver_refit: bool,
-}
+/// The report of a tensor reconstruction.
+pub type NdReconstructionReport = ReconstructionReport<NdLandscape>;
 
 impl Reconstructor {
     /// Creates a reconstructor with custom solver settings.
@@ -97,19 +79,8 @@ impl Reconstructor {
         pattern: &SamplePattern,
         samples: &[f64],
     ) -> (Landscape, usize) {
-        let (landscape, sol) = self.solve_grid(grid, pattern, samples);
-        (landscape, sol.iterations)
-    }
-
-    /// [`Self::reconstruct`] with the full solver outcome.
-    fn solve_grid(
-        &self,
-        grid: &Grid2d,
-        pattern: &SamplePattern,
-        samples: &[f64],
-    ) -> (Landscape, FistaResult) {
         let (values, sol) = self.solve(&[grid.rows(), grid.cols()], pattern, samples);
-        (Landscape::from_values(*grid, values), sol)
+        (Landscape::from_values(*grid, values), sol.iterations)
     }
 
     /// Full experiment against ground truth: sample `fraction` of the true
@@ -120,10 +91,8 @@ impl Reconstructor {
         fraction: f64,
         rng: &mut R,
     ) -> ReconstructionReport {
-        let grid = truth.grid();
-        let pattern = SamplePattern::random(grid.rows(), grid.cols(), fraction, rng);
-        let samples = pattern.gather(truth.values());
-        self.report_from_samples(truth, pattern, &samples)
+        self.sampled(truth, fraction, rng, |i| truth.values()[i])
+            .map(Landscape::from_nd)
     }
 
     /// Job-level deterministic entry point: like
@@ -138,9 +107,8 @@ impl Reconstructor {
         fraction: f64,
         seed: u64,
     ) -> ReconstructionReport {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        self.reconstruct_fraction(truth, fraction, &mut rng)
+        self.reconstruct_tensor_fraction_seeded(truth, fraction, seed)
+            .map(Landscape::from_nd)
     }
 
     /// Like [`Self::reconstruct_fraction`], but with measured sample values
@@ -154,36 +122,11 @@ impl Reconstructor {
         mut measure: impl FnMut(f64, f64) -> f64,
     ) -> ReconstructionReport {
         let grid = truth.grid();
-        let pattern = SamplePattern::random(grid.rows(), grid.cols(), fraction, rng);
-        let samples: Vec<f64> = pattern
-            .indices()
-            .iter()
-            .map(|&i| {
-                let (b, g) = grid.point(i);
-                measure(b, g)
-            })
-            .collect();
-        self.report_from_samples(truth, pattern, &samples)
-    }
-
-    /// Builds a scored report from explicit samples.
-    pub fn report_from_samples(
-        &self,
-        truth: &Landscape,
-        pattern: SamplePattern,
-        samples: &[f64],
-    ) -> ReconstructionReport {
-        let (landscape, sol) = self.solve_grid(truth.grid(), &pattern, samples);
-        let err = nrmse(truth.values(), landscape.values());
-        ReconstructionReport {
-            landscape,
-            samples_used: pattern.num_samples(),
-            pattern,
-            nrmse: err,
-            solver_iterations: sol.iterations,
-            solver_exit: sol.exit,
-            solver_refit: sol.refit,
-        }
+        self.sampled(truth, fraction, rng, |i| {
+            let (b, g) = grid.point(i);
+            measure(b, g)
+        })
+        .map(Landscape::from_nd)
     }
 
     /// Reconstructs a raw row-major array (no [`Grid2d`] attached) —
@@ -198,56 +141,38 @@ impl Reconstructor {
         self.solve(&[rows, cols], pattern, samples).0
     }
 
-    /// N-D analogue of [`Self::reconstruct`]: recovers a full tensor
-    /// landscape from sampled values at known flat indices, solving in
-    /// the [`DctNd`] basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pattern dims mismatch `shape` or sample count
-    /// mismatches the pattern.
-    pub fn reconstruct_tensor(
-        &self,
-        shape: &TensorShape,
-        pattern: &NdSamplePattern,
-        samples: &[f64],
-    ) -> (NdLandscape, usize) {
-        let (landscape, sol) = self.solve_tensor(shape, pattern, samples);
-        (landscape, sol.iterations)
-    }
-
-    /// [`Self::reconstruct_tensor`] with the full solver outcome.
-    fn solve_tensor(
-        &self,
-        shape: &TensorShape,
-        pattern: &NdSamplePattern,
-        samples: &[f64],
-    ) -> (NdLandscape, FistaResult) {
-        let (values, sol) = self.solve(&shape.dims(), pattern, samples);
-        (NdLandscape::from_values(shape.clone(), values), sol)
-    }
-
-    /// N-D analogue of [`Self::reconstruct_fraction_seeded`]: draws the
-    /// sampling pattern from a dedicated RNG seeded with `seed`, so one
-    /// `(truth, fraction, seed)` triple always produces bit-identical
-    /// output — the same determinism contract the 2-D job path honors.
+    /// [`Self::reconstruct_fraction_seeded`] for a landscape of any
+    /// rank, solving in the [`DctNd`] basis of its shape: the job
+    /// pipeline's stage 2 for grids and tensors alike.
     pub fn reconstruct_tensor_fraction_seeded(
         &self,
         truth: &NdLandscape,
         fraction: f64,
         seed: u64,
     ) -> NdReconstructionReport {
-        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pattern = NdSamplePattern::random(&truth.shape().dims(), fraction, &mut rng);
-        let samples = pattern.gather(truth.values());
-        let (landscape, sol) = self.solve_tensor(truth.shape(), &pattern, &samples);
-        let err = nrmse(truth.values(), landscape.values());
-        NdReconstructionReport {
+        self.sampled(truth, fraction, &mut rng, |i| truth.values()[i])
+    }
+
+    /// Samples `fraction` of `truth`'s points (pattern drawn from
+    /// `rng`), takes `measure(flat index)` at each, reconstructs and
+    /// scores against `truth`.
+    fn sampled<R: Rng + ?Sized>(
+        &self,
+        truth: &NdLandscape,
+        fraction: f64,
+        rng: &mut R,
+        measure: impl FnMut(usize) -> f64,
+    ) -> NdReconstructionReport {
+        let dims = truth.shape().dims();
+        let pattern = NdSamplePattern::random(&dims, fraction, rng);
+        let samples: Vec<f64> = pattern.indices().iter().copied().map(measure).collect();
+        let (values, sol) = self.solve(&dims, &pattern, &samples);
+        let landscape = NdLandscape::from_values(truth.shape().clone(), values);
+        ReconstructionReport {
+            nrmse: nrmse(truth.values(), landscape.values()),
             landscape,
             samples_used: pattern.num_samples(),
-            pattern,
-            nrmse: err,
             solver_iterations: sol.iterations,
             solver_exit: sol.exit,
             solver_refit: sol.refit,
@@ -282,6 +207,20 @@ impl Reconstructor {
         let mut scratch = dct.make_scratch();
         dct.inverse_into(&sol.coefficients, &mut values, &mut scratch);
         (values, sol)
+    }
+}
+
+impl<L> ReconstructionReport<L> {
+    /// The same report over another view of its landscape.
+    fn map<M>(self, view: impl FnOnce(L) -> M) -> ReconstructionReport<M> {
+        ReconstructionReport {
+            landscape: view(self.landscape),
+            nrmse: self.nrmse,
+            samples_used: self.samples_used,
+            solver_iterations: self.solver_iterations,
+            solver_exit: self.solver_exit,
+            solver_refit: self.solver_refit,
+        }
     }
 }
 
@@ -347,7 +286,7 @@ mod tests {
         let pattern = SamplePattern::random(10, 14, 0.3, &mut rng);
         let samples = pattern.gather(truth.values());
         let oscar = Reconstructor::default();
-        let (l, _) = oscar.reconstruct(truth.grid(), &pattern, &samples);
+        let (l, _) = oscar.reconstruct(&truth.grid(), &pattern, &samples);
         let arr = oscar.reconstruct_array(10, 14, &pattern, &samples);
         for (a, b) in l.values().iter().zip(&arr) {
             assert!((a - b).abs() < 1e-12);

@@ -53,27 +53,21 @@ pub fn scaled_noisy_landscape(
 
 /// Pointwise zero-noise extrapolation of per-factor landscapes: grid
 /// point `i` of the result is `zne.extrapolate_values` applied to point
-/// `i` of each factor landscape, in factor order.
+/// `i` of each factor landscape, in factor order
+/// ([`ZneConfig::extrapolate_pointwise`]).
 ///
 /// # Panics
 ///
 /// Panics if the landscape count does not match the config's factor
 /// count, or the landscapes' grids differ.
 pub fn extrapolated_landscape(zne: &ZneConfig, factors: &[&Landscape]) -> Landscape {
-    assert_eq!(
-        factors.len(),
-        zne.scale_factors.len(),
-        "one landscape per scale factor required"
-    );
-    let grid = *factors[0].grid();
+    let grid = factors[0].grid();
     assert!(
-        factors.iter().all(|l| *l.grid() == grid),
+        factors.iter().all(|l| l.grid() == grid),
         "factor landscapes must share one grid"
     );
-    Landscape::generate_indexed_par(grid, |i, _, _| {
-        let values: Vec<f64> = factors.iter().map(|l| l.values()[i]).collect();
-        zne.extrapolate_values(&values)
-    })
+    let values: Vec<&[f64]> = factors.iter().map(|l| l.values()).collect();
+    Landscape::from_values(grid, zne.extrapolate_pointwise(&values))
 }
 
 /// A set of landscapes for one problem under different mitigation

@@ -146,7 +146,7 @@ impl DeviceSpec {
 
     /// Builds the live device for `problem` (instant latency, internal
     /// RNG seeded with `seed`; the deterministic
-    /// [`QpuDevice::execute_at`] path ignores that internal stream).
+    /// [`QpuDevice::execute_scaled_at`] path ignores that internal stream).
     pub fn build(&self, problem: &IsingProblem, seed: u64) -> QpuDevice {
         QpuDevice::new(
             &self.name,
@@ -260,52 +260,6 @@ impl QpuDevice {
         self.noisy_moments_with_rng(moments, scale, &mut *rng)
     }
 
-    /// Executes with noise drawn from a caller-provided generator instead
-    /// of the device's internal mutex-guarded stream.
-    ///
-    /// The internal stream makes a point's value depend on how many
-    /// executions happened before it — order-dependent and therefore
-    /// useless for results that must be reproducible under concurrency.
-    /// This path leaves ordering to the caller: pass an RNG derived from
-    /// the draw site (see [`Self::execute_at`]) and the value is a pure
-    /// function of `(angles, rng state)`.
-    pub fn execute_with_rng<R: Rng + ?Sized>(
-        &self,
-        betas: &[f64],
-        gammas: &[f64],
-        rng: &mut R,
-    ) -> f64 {
-        let (ideal, var) = self.evaluator.moments(betas, gammas);
-        let mixed = self.evaluator.diagonal_mean();
-        self.noise
-            .noisy_expectation(ideal, var, mixed, self.counts, rng)
-    }
-
-    /// Deterministic noisy execution: noise is drawn from a
-    /// [`CounterRng`] keyed by `(seed, stream)`, so the returned value is
-    /// a pure function of `(angles, seed, stream)` — identical no matter
-    /// how many other executions ran before it, on how many threads.
-    ///
-    /// Callers evaluating a landscape pass the experiment seed and the
-    /// flat grid-point index as the stream.
-    pub fn execute_at(&self, betas: &[f64], gammas: &[f64], seed: u64, stream: u64) -> f64 {
-        self.execute_with_rng(betas, gammas, &mut CounterRng::new(seed, stream))
-    }
-
-    /// Noise-scaled execution with a caller-provided generator — the
-    /// ZNE analogue of [`Self::execute_with_rng`]: the depolarizing
-    /// rates are amplified by `scale` (gate folding), while noise draws
-    /// come from `rng` instead of the order-dependent internal stream.
-    pub fn execute_scaled_with_rng<R: Rng + ?Sized>(
-        &self,
-        betas: &[f64],
-        gammas: &[f64],
-        scale: f64,
-        rng: &mut R,
-    ) -> f64 {
-        self.noisy_moments_with_rng(self.evaluator.moments(betas, gammas), scale, rng)
-    }
-
     /// The noise half of an execution: this device's noise at scale
     /// `scale` applied to already-simulated ideal `moments` (`(<C>,
     /// Var[C])` from [`QaoaEvaluator::moments`]).
@@ -322,11 +276,13 @@ impl QpuDevice {
             .noisy_expectation(ideal, var, mixed, self.counts, rng)
     }
 
-    /// Deterministic noise-scaled execution: [`Self::execute_at`] at ZNE
-    /// noise scale `scale`. A pure function of `(angles, scale, seed,
-    /// stream)`; at `scale = 1.0` it is bit-identical to
-    /// [`Self::execute_at`], so an unscaled landscape and a ZNE
-    /// factor-1 landscape built from the same seed are the same values.
+    /// Deterministic noise-scaled execution: noise is drawn from a
+    /// [`CounterRng`] keyed by `(seed, stream)`, with the depolarizing
+    /// rates amplified by ZNE noise scale `scale` (gate folding). The
+    /// value is a pure function of `(angles, scale, seed, stream)`,
+    /// identical no matter how many other executions ran before it, on
+    /// how many threads; callers evaluating a landscape pass the
+    /// experiment seed and the flat grid-point index as the stream.
     pub fn execute_scaled_at(
         &self,
         betas: &[f64],
@@ -359,19 +315,6 @@ impl QpuDevice {
     /// not wedge every later execution).
     fn lock_rng(&self) -> std::sync::MutexGuard<'_, StdRng> {
         self.rng.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Executes with zero-noise extrapolation: measures at each of the
-    /// config's noise scales (via gate folding) and extrapolates to zero.
-    ///
-    /// Costs `zne.cost_multiplier()` circuit executions per call.
-    pub fn execute_zne(
-        &self,
-        zne: &oscar_mitigation::zne::ZneConfig,
-        betas: &[f64],
-        gammas: &[f64],
-    ) -> f64 {
-        zne.extrapolate(&mut |c| self.execute_scaled(betas, gammas, c))
     }
 }
 
@@ -432,42 +375,10 @@ impl VqeDevice {
         &self.evaluator
     }
 
-    /// Noise-scaled execution with a caller-provided generator — the
-    /// VQE analogue of [`QpuDevice::execute_scaled_with_rng`].
-    pub fn execute_scaled_with_rng<R: Rng + ?Sized>(
-        &self,
-        params: &[f64],
-        scale: f64,
-        rng: &mut R,
-    ) -> f64 {
-        self.noisy_moments_with_rng(self.evaluator.moments(params), scale, rng)
-    }
-
-    /// The noise half of an execution on already-simulated ideal
-    /// `moments` (from [`VqeEvaluator::moments`]).
-    fn noisy_moments_with_rng<R: Rng + ?Sized>(
-        &self,
-        moments: (f64, f64),
-        scale: f64,
-        rng: &mut R,
-    ) -> f64 {
-        let (ideal, var) = moments;
-        self.noise
-            .scaled(scale)
-            .noisy_expectation(ideal, var, self.mixed, self.counts, rng)
-    }
-
-    /// Deterministic noisy execution keyed by `(seed, stream)`: the VQE
-    /// analogue of [`QpuDevice::execute_at`] — a pure function of
-    /// `(params, seed, stream)` regardless of execution order or thread
-    /// count.
-    pub fn execute_at(&self, params: &[f64], seed: u64, stream: u64) -> f64 {
-        self.execute_scaled_at(params, 1.0, seed, stream)
-    }
-
-    /// Deterministic noise-scaled execution: [`Self::execute_at`] at ZNE
-    /// noise scale `scale`; bit-identical to `execute_at` at
-    /// `scale = 1.0`.
+    /// Deterministic noise-scaled execution keyed by `(seed, stream)`:
+    /// the VQE analogue of [`QpuDevice::execute_scaled_at`], a pure
+    /// function of `(params, scale, seed, stream)` regardless of
+    /// execution order or thread count.
     pub fn execute_scaled_at(&self, params: &[f64], scale: f64, seed: u64, stream: u64) -> f64 {
         self.noisy_moments_at(self.evaluator.moments(params), scale, seed, stream)
     }
@@ -477,7 +388,11 @@ impl VqeDevice {
     /// moments of the same parameters — the VQE analogue of
     /// [`QpuDevice::noisy_moments_at`].
     pub fn noisy_moments_at(&self, moments: (f64, f64), scale: f64, seed: u64, stream: u64) -> f64 {
-        self.noisy_moments_with_rng(moments, scale, &mut CounterRng::new(seed, stream))
+        let (ideal, var) = moments;
+        let mut rng = CounterRng::new(seed, stream);
+        self.noise
+            .scaled(scale)
+            .noisy_expectation(ideal, var, self.mixed, self.counts, &mut rng)
     }
 }
 
@@ -589,7 +504,8 @@ mod tests {
         let qpu = QpuDevice::new("zne2", &p, 1, noise, LatencyModel::instant(), 0);
         let ideal = p.qaoa_evaluator().expectation(&[0.25], &[0.55]);
         let raw = qpu.execute(&[0.25], &[0.55]);
-        let mitigated = qpu.execute_zne(&ZneConfig::richardson_123(), &[0.25], &[0.55]);
+        let mitigated = ZneConfig::richardson_123()
+            .extrapolate(&mut |c| qpu.execute_scaled(&[0.25], &[0.55], c));
         assert!(
             (mitigated - ideal).abs() < (raw - ideal).abs(),
             "ZNE {mitigated} should beat raw {raw} (ideal {ideal})"
@@ -597,42 +513,46 @@ mod tests {
     }
 
     #[test]
-    fn execute_at_is_order_independent() {
+    fn scaled_at_is_order_independent() {
         let p = problem();
         let noise = NoiseModel::depolarizing(0.002, 0.006).with_shots(512);
         let qpu = QpuDevice::new("det", &p, 1, noise, LatencyModel::instant(), 0);
-        let reference = qpu.execute_at(&[0.2], &[0.6], 7, 3);
+        let at = |seed: u64, stream: u64| qpu.execute_scaled_at(&[0.2], &[0.6], 1.0, seed, stream);
+        let reference = at(7, 3);
         // Burn the internal stream and hit other (seed, stream) pairs:
         // the deterministic path must not care.
         for k in 0..10 {
             let _ = qpu.execute(&[0.1], &[0.1]);
-            let _ = qpu.execute_at(&[0.2], &[0.6], 7, 100 + k);
+            let _ = at(7, 100 + k);
         }
-        assert_eq!(
-            qpu.execute_at(&[0.2], &[0.6], 7, 3).to_bits(),
-            reference.to_bits()
-        );
+        assert_eq!(at(7, 3).to_bits(), reference.to_bits());
         // Distinct seeds and streams give distinct noise realizations.
-        assert_ne!(qpu.execute_at(&[0.2], &[0.6], 8, 3), reference);
-        assert_ne!(qpu.execute_at(&[0.2], &[0.6], 7, 4), reference);
+        assert_ne!(at(8, 3), reference);
+        assert_ne!(at(7, 4), reference);
     }
 
     #[test]
-    fn scaled_at_matches_execute_at_at_unit_scale() {
+    fn scaled_at_matches_noisy_moments_at_on_every_scale() {
         let p = problem();
         let noise = NoiseModel::depolarizing(0.002, 0.006).with_shots(512);
         let qpu = QpuDevice::new("det-zne", &p, 1, noise, LatencyModel::instant(), 0);
-        assert_eq!(
-            qpu.execute_scaled_at(&[0.2], &[0.6], 1.0, 7, 3).to_bits(),
-            qpu.execute_at(&[0.2], &[0.6], 7, 3).to_bits()
+        let moments = p.qaoa_evaluator().moments(&[0.2], &[0.6]);
+        for scale in [1.0, 3.0] {
+            let a = qpu.execute_scaled_at(&[0.2], &[0.6], scale, 7, 3);
+            assert_eq!(
+                a.to_bits(),
+                qpu.noisy_moments_at(moments, scale, 7, 3).to_bits()
+            );
+            assert_eq!(
+                a.to_bits(),
+                qpu.execute_scaled_at(&[0.2], &[0.6], scale, 7, 3).to_bits()
+            );
+        }
+        // Other scales are genuinely scaled.
+        assert_ne!(
+            qpu.execute_scaled_at(&[0.2], &[0.6], 3.0, 7, 3).to_bits(),
+            qpu.execute_scaled_at(&[0.2], &[0.6], 1.0, 7, 3).to_bits()
         );
-        // Other scales are deterministic too, and genuinely scaled.
-        let a = qpu.execute_scaled_at(&[0.2], &[0.6], 3.0, 7, 3);
-        assert_eq!(
-            a.to_bits(),
-            qpu.execute_scaled_at(&[0.2], &[0.6], 3.0, 7, 3).to_bits()
-        );
-        assert_ne!(a.to_bits(), qpu.execute_at(&[0.2], &[0.6], 7, 3).to_bits());
     }
 
     #[test]
@@ -651,7 +571,7 @@ mod tests {
             let spec = DeviceSpec::by_name(name).unwrap_or_else(|| panic!("missing {name}"));
             assert_eq!(spec.name, name);
             let qpu = spec.build(&problem(), 0);
-            assert!(qpu.execute_at(&[0.2], &[0.5], 1, 0).is_finite());
+            assert!(qpu.execute_scaled_at(&[0.2], &[0.5], 1.0, 1, 0).is_finite());
         }
         assert!(DeviceSpec::by_name("ibm osaka").is_none());
     }
@@ -677,26 +597,30 @@ mod tests {
         let dev = VqeDevice::new("ideal", Molecule::H2, NoiseModel::ideal());
         let params = [0.2, -0.4, 0.7];
         let direct = dev.evaluator().expectation(&params);
-        assert!((dev.execute_at(&params, 0, 0) - direct).abs() < 1e-12);
+        assert!((dev.execute_scaled_at(&params, 1.0, 0, 0) - direct).abs() < 1e-12);
     }
 
     #[test]
-    fn vqe_device_execute_at_is_order_independent() {
+    fn vqe_device_scaled_at_is_order_independent() {
         let noise = NoiseModel::depolarizing(0.002, 0.006).with_shots(512);
         let dev = VqeDevice::new("det", Molecule::H2, noise);
         let params = [0.1, 0.3, -0.2];
-        let reference = dev.execute_at(&params, 7, 3);
+        let at = |seed: u64, stream: u64| dev.execute_scaled_at(&params, 1.0, seed, stream);
+        let reference = at(7, 3);
         for k in 0..10 {
-            let _ = dev.execute_at(&params, 7, 100 + k);
+            let _ = at(7, 100 + k);
         }
-        assert_eq!(dev.execute_at(&params, 7, 3).to_bits(), reference.to_bits());
-        assert_ne!(dev.execute_at(&params, 8, 3), reference);
-        assert_ne!(dev.execute_at(&params, 7, 4), reference);
-        // Unit scale is bit-identical to the unscaled path.
-        assert_eq!(
-            dev.execute_scaled_at(&params, 1.0, 7, 3).to_bits(),
-            reference.to_bits()
-        );
+        assert_eq!(at(7, 3).to_bits(), reference.to_bits());
+        assert_ne!(at(8, 3), reference);
+        assert_ne!(at(7, 4), reference);
+        // The moments path is bit-identical at every scale.
+        let moments = dev.evaluator().moments(&params);
+        for scale in [1.0, 3.0] {
+            assert_eq!(
+                dev.execute_scaled_at(&params, scale, 7, 3).to_bits(),
+                dev.noisy_moments_at(moments, scale, 7, 3).to_bits()
+            );
+        }
     }
 
     #[test]
@@ -708,7 +632,7 @@ mod tests {
         );
         let params = [0.1; 8];
         let ideal = dev.evaluator().expectation(&params);
-        let noisy = dev.execute_at(&params, 0, 0);
+        let noisy = dev.execute_scaled_at(&params, 1.0, 0, 0);
         let mixed = dev.evaluator().hamiltonian().constant();
         let lo = ideal.min(mixed);
         let hi = ideal.max(mixed);
@@ -726,8 +650,8 @@ mod tests {
         let mixed = p.qaoa_evaluator().diagonal_mean();
         let q1 = base.build(&p, 0);
         let q2 = deep.build(&p, 0);
-        let e1 = q1.execute_at(&[0.2, 0.0], &[0.5, 0.0], 1, 0);
-        let e2 = q2.execute_at(&[0.2, 0.0], &[0.5, 0.0], 1, 0);
+        let e1 = q1.execute_scaled_at(&[0.2, 0.0], &[0.5, 0.0], 1.0, 1, 0);
+        let e2 = q2.execute_scaled_at(&[0.2, 0.0], &[0.5, 0.0], 1.0, 1, 0);
         assert!(
             (e2 - mixed).abs() < (e1 - mixed).abs(),
             "depth-2 should damp harder: {e1} vs {e2} (mixed {mixed})"

@@ -127,69 +127,6 @@ impl From<oscar_obs::Summary> for LatencyStats {
     }
 }
 
-/// A bounded sliding window of observed latencies (wall-clock seconds).
-///
-/// A thin adapter over [`oscar_obs::SampleWindow`] (the workspace's one
-/// bounded-ring/percentile implementation) that reports
-/// [`LatencyStats`]: once full, each new sample overwrites the oldest,
-/// so memory stays bounded no matter how long the process lives.
-///
-/// # Examples
-///
-/// ```
-/// use oscar_executor::latency::LatencyWindow;
-///
-/// let mut window = LatencyWindow::new(3);
-/// assert!(window.stats().is_none());
-/// for t in [1.0, 2.0, 3.0, 40.0] {
-///     window.record(t);
-/// }
-/// // Capacity 3: the 1.0 sample has been evicted.
-/// let stats = window.stats().unwrap();
-/// assert_eq!(stats.median, 3.0);
-/// assert_eq!(stats.max, 40.0);
-/// ```
-#[derive(Clone, Debug)]
-pub struct LatencyWindow {
-    window: oscar_obs::SampleWindow,
-}
-
-impl LatencyWindow {
-    /// Creates an empty window holding at most `cap` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap == 0`.
-    pub fn new(cap: usize) -> Self {
-        LatencyWindow {
-            window: oscar_obs::SampleWindow::new(cap),
-        }
-    }
-
-    /// Records one observed latency, evicting the oldest sample once
-    /// the window is at capacity.
-    pub fn record(&mut self, seconds: f64) {
-        self.window.record(seconds);
-    }
-
-    /// Number of samples currently held (saturates at capacity).
-    pub fn len(&self) -> usize {
-        self.window.len()
-    }
-
-    /// True when no sample has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
-    }
-
-    /// Statistics over the window, or `None` while it is empty —
-    /// callers must supply their own cold-start default rather than
-    /// trust percentiles of nothing.
-    pub fn stats(&self) -> Option<LatencyStats> {
-        self.window.summary().map(LatencyStats::from)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,26 +174,6 @@ mod tests {
     #[should_panic(expected = "need at least one sample")]
     fn stats_reject_empty() {
         let _ = LatencyStats::from_samples(&[]);
-    }
-
-    #[test]
-    fn window_is_bounded_ring() {
-        let mut w = LatencyWindow::new(4);
-        assert!(w.is_empty() && w.stats().is_none());
-        for t in 0..100 {
-            w.record(t as f64);
-        }
-        assert_eq!(w.len(), 4);
-        let stats = w.stats().unwrap();
-        // Only the last four samples (96..=99) survive.
-        assert_eq!(stats.max, 99.0);
-        assert!(stats.median >= 96.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn window_rejects_zero_capacity() {
-        let _ = LatencyWindow::new(0);
     }
 
     #[test]

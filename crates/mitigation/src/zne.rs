@@ -90,6 +90,36 @@ impl ZneConfig {
         self.extrapolate_values(&values)
     }
 
+    /// [`Self::extrapolate_values`] at every point of per-factor value
+    /// arrays (one array per scale factor, in factor order): element `i`
+    /// of the result extrapolates element `i` of each array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the array count differs from the factor count or the
+    /// arrays differ in length.
+    pub fn extrapolate_pointwise(&self, factors: &[&[f64]]) -> Vec<f64> {
+        assert_eq!(
+            factors.len(),
+            self.scale_factors.len(),
+            "one value array per scale factor required"
+        );
+        let len = factors[0].len();
+        assert!(
+            factors.iter().all(|f| f.len() == len),
+            "factor value arrays must have equal length"
+        );
+        let mut values = vec![0.0; factors.len()];
+        (0..len)
+            .map(|i| {
+                for (slot, factor) in values.iter_mut().zip(factors) {
+                    *slot = factor[i];
+                }
+                self.extrapolate_values(&values)
+            })
+            .collect()
+    }
+
     /// Extrapolates from pre-measured values (one per scale factor).
     ///
     /// # Panics

@@ -18,10 +18,8 @@
 //!   environment variable or `oscar-batch --trace FILE`. Wall-clock
 //!   readings never enter job *results*, so bit-identity determinism
 //!   guarantees are untouched by tracing.
-//! * [`quantile`] / [`window`] — the single home for percentile math:
-//!   exact sorted-sample quantiles ([`quantile::Summary`]) and the
-//!   bounded [`window::SampleWindow`] ring that long-running consumers
-//!   (the serve daemon, the executor latency model) summarize over.
+//! * [`quantile`] — the single home for percentile math: exact
+//!   sorted-sample quantiles ([`quantile::Summary`]).
 //!
 //! The quantile rank convention is shared everywhere: the `q`-quantile
 //! of `n` samples is the sorted element at index
@@ -36,9 +34,7 @@
 pub mod metrics;
 pub mod quantile;
 pub mod span;
-pub mod window;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricValue, Registry};
 pub use quantile::Summary;
 pub use span::{Stage, Tracer};
-pub use window::SampleWindow;

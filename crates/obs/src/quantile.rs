@@ -1,8 +1,8 @@
 //! The single home for exact sorted-sample quantile math.
 //!
 //! Every percentile in the workspace — the executor's
-//! `LatencyStats`, the serve daemon's admission hints, the bounded
-//! [`crate::window::SampleWindow`] — goes through these functions, so
+//! `LatencyStats`, the serve daemon's admission hints — goes through
+//! these functions, so
 //! there is exactly one rank convention: the `q`-quantile of `n`
 //! samples is the sorted element at index `round((n - 1) * q)`.
 //! [`crate::metrics::Histogram::percentile`] mirrors the same rank over

@@ -43,7 +43,6 @@ pub mod noise;
 pub mod pauli;
 pub mod qaoa;
 pub mod rng;
-pub mod sampling;
 pub mod state;
 
 /// Convenient glob-import of the most used types.
@@ -54,6 +53,5 @@ pub mod prelude {
     pub use crate::pauli::{Pauli, PauliString, PauliSum};
     pub use crate::qaoa::QaoaEvaluator;
     pub use crate::rng::CounterRng;
-    pub use crate::sampling::{measure_qubit, project_qubit, Counts};
     pub use crate::state::StateVector;
 }

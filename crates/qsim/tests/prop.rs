@@ -99,17 +99,6 @@ proptest! {
         prop_assert!((psi.norm_sqr() - 1.0).abs() < 1e-9);
     }
 
-    /// Counts histograms conserve the total and produce a normalized
-    /// distribution.
-    #[test]
-    fn counts_are_normalized(outcomes in prop::collection::vec(0u64..8, 1..200)) {
-        let counts = Counts::from_outcomes(3, &outcomes);
-        prop_assert_eq!(counts.total(), outcomes.len());
-        let dist = counts.to_distribution();
-        let total: f64 = dist.iter().sum();
-        prop_assert!((total - 1.0).abs() < 1e-12);
-    }
-
     /// QAOA probabilities always form a distribution.
     #[test]
     fn qaoa_probabilities_normalized(beta in -1.5f64..1.5, gamma in -3.0f64..3.0) {

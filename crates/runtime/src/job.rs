@@ -18,9 +18,8 @@
 //!    landscape.
 //! 2. **CS reconstruction** — sample `fraction` of the points with the
 //!    job's seed and recover the full landscape by FISTA
-//!    ([`Reconstructor::reconstruct_fraction_seeded`] on 2-D grids,
-//!    [`Reconstructor::reconstruct_tensor_fraction_seeded`] on N-D
-//!    tensors).
+//!    ([`Reconstructor::reconstruct_tensor_fraction_seeded`], one path
+//!    for grids and tensors).
 //! 3. **Optimization** — descend the interpolated reconstruction
 //!    (bivariate spline on grids, clamped multilinear on tensors) from
 //!    its best point with the spec's [`Descent`] optimizer (SPSA
@@ -242,42 +241,20 @@ pub fn run_job(spec: &JobSpec, cache: Option<&LandscapeCache>) -> JobResult {
         cache,
     );
 
-    let reconstructor = Reconstructor::new(spec.fista);
-    let (reconstruction, nrmse, samples_used, solver_iterations, solver_exit, solver_refit) =
-        match truth.as_ref() {
-            ShapedLandscape::Grid2d(l) => {
-                let report = with_stage(Stage::Reconstruction, || {
-                    reconstructor.reconstruct_fraction_seeded(l, spec.fraction, spec.seed)
-                });
-                (
-                    ShapedLandscape::Grid2d(report.landscape),
-                    report.nrmse,
-                    report.samples_used,
-                    report.solver_iterations,
-                    report.solver_exit,
-                    report.solver_refit,
-                )
-            }
-            ShapedLandscape::Tensor(l) => {
-                let report = with_stage(Stage::Reconstruction, || {
-                    reconstructor.reconstruct_tensor_fraction_seeded(l, spec.fraction, spec.seed)
-                });
-                (
-                    ShapedLandscape::Tensor(report.landscape),
-                    report.nrmse,
-                    report.samples_used,
-                    report.solver_iterations,
-                    report.solver_exit,
-                    report.solver_refit,
-                )
-            }
-        };
+    let report = with_stage(Stage::Reconstruction, || {
+        Reconstructor::new(spec.fista).reconstruct_tensor_fraction_seeded(
+            &truth,
+            spec.fraction,
+            spec.seed,
+        )
+    });
+    let reconstruction = ShapedLandscape::from_values(&spec.shape, report.landscape.into_values());
     let (iterations_hist, cap_exits, refit_skips) = fista_metrics();
-    iterations_hist.record(solver_iterations as u64);
-    if solver_exit == FistaExit::IterationCap {
+    iterations_hist.record(report.solver_iterations as u64);
+    if report.solver_exit == FistaExit::IterationCap {
         cap_exits.inc();
     }
-    if !solver_refit {
+    if !report.solver_refit {
         refit_skips.inc();
     }
 
@@ -314,9 +291,9 @@ pub fn run_job(spec: &JobSpec, cache: Option<&LandscapeCache>) -> JobResult {
         job_id: 0,
         dispatch_seq: 0,
         reconstruction,
-        nrmse,
-        samples_used,
-        solver_iterations,
+        nrmse: report.nrmse,
+        samples_used: report.samples_used,
+        solver_iterations: report.solver_iterations,
         best_point,
         best_value,
         landscape_cache_hit: cache_hit,

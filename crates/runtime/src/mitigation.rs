@@ -18,10 +18,14 @@
 //!   constant-preserving Gaussian filter (no extra shots, trades sharp
 //!   features for noise suppression).
 //!
-//! Every variant is shape-generic: 2-D grids go through the original
-//! code paths bit-for-bit, while N-D tensors (deep QAOA, molecular VQE
-//! scans) extrapolate pointwise, correct pointwise, or smooth
-//! separably per axis ([`GaussianFilter::smooth_nd`]).
+//! Every variant is one shape-generic body over the landscape's
+//! row-major values: ZNE extrapolates pointwise
+//! ([`ZneConfig::extrapolate_pointwise`]), readout correction corrects
+//! pointwise, and Gaussian smoothing filters separably per axis
+//! ([`GaussianFilter::smooth_nd`], which on two axes is bit-identical
+//! to the 2-D filter). The result takes the job's shape back through
+//! [`ShapedLandscape::from_values`], so a 2-D grid and a rank-2 tensor
+//! over the same axes get the same values.
 //!
 //! Every variant is a pure function of the job spec, so mitigated jobs
 //! stay bit-identical across executor counts, cache hit/miss, and
@@ -41,8 +45,7 @@
 use crate::cache::{LandscapeCache, LandscapeKey};
 use crate::source::{LandscapeSource, MomentsCell};
 use oscar_core::grid::Shape;
-use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
-use oscar_core::usecases::mitigation::extrapolated_landscape;
+use oscar_core::landscape::ShapedLandscape;
 use oscar_mitigation::gaussian::GaussianFilter;
 use oscar_mitigation::readout::correct_damped_expectation;
 use oscar_mitigation::zne::{Extrapolation, ZneConfig};
@@ -311,27 +314,9 @@ fn apply_mitigation(
                     }
                 })
                 .collect();
-            with_stage(Stage::Mitigation, || match shape {
-                Shape::Grid2d(_) => {
-                    let refs: Vec<&Landscape> = subs
-                        .iter()
-                        // lint:allow(no-panic): generate() with a Grid2d shape always yields Grid2d sub-landscapes; the shape is threaded through unchanged.
-                        .map(|s| s.as_grid2d().expect("grid source yields grid landscapes"))
-                        .collect();
-                    extrapolated_landscape(&zne, &refs).into()
-                }
-                Shape::Tensor(tensor) => {
-                    let mut samples = vec![0.0; subs.len()];
-                    let values: Vec<f64> = (0..tensor.len())
-                        .map(|i| {
-                            for (slot, sub) in samples.iter_mut().zip(&subs) {
-                                *slot = sub.values()[i];
-                            }
-                            zne.extrapolate_values(&samples)
-                        })
-                        .collect();
-                    NdLandscape::from_values(tensor.clone(), values).into()
-                }
+            with_stage(Stage::Mitigation, || {
+                let values: Vec<&[f64]> = subs.iter().map(|s| s.values()).collect();
+                ShapedLandscape::from_values(shape, zne.extrapolate_pointwise(&values))
             })
         }
         Mitigation::Readout => {
@@ -344,36 +329,20 @@ fn apply_mitigation(
                 .unwrap_or(ReadoutError::new(0.0, 0.0));
             let mixed = problem.mixed_mean();
             let raw = raw_arc();
-            let values = raw.values();
-            with_stage(Stage::Mitigation, || match shape {
-                Shape::Grid2d(grid) => Landscape::generate_indexed_par(*grid, |i, _, _| {
-                    correct_damped_expectation(values[i], mixed, error)
-                })
-                .into(),
-                Shape::Tensor(tensor) => {
-                    NdLandscape::generate_indexed_par(tensor.clone(), |i, _| {
-                        correct_damped_expectation(values[i], mixed, error)
-                    })
-                    .into()
-                }
+            with_stage(Stage::Mitigation, || {
+                let values = raw
+                    .values()
+                    .iter()
+                    .map(|&v| correct_damped_expectation(v, mixed, error))
+                    .collect();
+                ShapedLandscape::from_values(shape, values)
             })
         }
         Mitigation::Gaussian { sigma } => {
             let raw = raw_arc();
-            with_stage(Stage::Mitigation, || match shape {
-                Shape::Grid2d(grid) => {
-                    let smoothed = GaussianFilter::new(*sigma).smooth_2d(
-                        raw.values(),
-                        grid.rows(),
-                        grid.cols(),
-                    );
-                    Landscape::generate_indexed_par(*grid, |i, _, _| smoothed[i]).into()
-                }
-                Shape::Tensor(tensor) => {
-                    let smoothed =
-                        GaussianFilter::new(*sigma).smooth_nd(raw.values(), &tensor.dims());
-                    NdLandscape::from_values(tensor.clone(), smoothed).into()
-                }
+            with_stage(Stage::Mitigation, || {
+                let smoothed = GaussianFilter::new(*sigma).smooth_nd(raw.values(), &shape.dims());
+                ShapedLandscape::from_values(shape, smoothed)
             })
         }
     }
@@ -667,7 +636,7 @@ mod tests {
         let exact = LandscapeSource::Exact;
         let raw = exact.generate(&p, &shape, 0);
         let (smooth, _) = mitigated_landscape(&p, &shape, &exact, 0, &Mitigation::gaussian(), None);
-        let direct = GaussianFilter::new(1.0).smooth_nd(raw.values(), &raw.dims());
+        let direct = GaussianFilter::new(1.0).smooth_nd(raw.values(), &shape.dims());
         for (a, b) in smooth.values().iter().zip(&direct) {
             assert_eq!(a.to_bits(), b.to_bits());
         }

@@ -4,20 +4,26 @@
 //! The paper's central workload reconstructs *noisy* VQA landscapes
 //! from sparse device executions; [`LandscapeSource`] is the runtime's
 //! switch between the exact noiseless evaluator and a device-backed
-//! noisy evaluation ([`QpuDevice`] for QAOA, [`VqeDevice`] for
-//! molecules). Noisy landscapes are **deterministic under
-//! concurrency**: every grid point draws its noise from a
-//! counter-based RNG keyed by `(landscape_seed, point_index)`
-//! ([`oscar_qsim::rng::CounterRng`]) with the flat row-major index as
-//! the stream — the same discipline on 2-D grids and N-D tensors — so
-//! the landscape is bit-identical no matter how the worker pool
-//! interleaves points or how many executors run jobs — the property
-//! the batch cache and the `--compare` harness rely on. (The QPU
-//! device's internal mutex-guarded RNG stream, by contrast, is
-//! execution-order-dependent and is not used here.)
+//! noisy evaluation ([`oscar_executor::device::QpuDevice`] for QAOA,
+//! [`oscar_executor::device::VqeDevice`] for molecules). Noisy
+//! landscapes are **deterministic under concurrency**: every grid point
+//! draws its noise from a counter-based RNG keyed by
+//! `(landscape_seed, point_index)` ([`oscar_qsim::rng::CounterRng`])
+//! with the flat row-major index as the stream, so the landscape is
+//! bit-identical no matter how the worker pool interleaves points or
+//! how many executors run jobs — the property the batch cache and the
+//! `--compare` harness rely on. (The QPU device's internal
+//! mutex-guarded RNG stream, by contrast, is execution-order-dependent
+//! and is not used here.)
+//!
+//! Generation is one shape-generic body: both passes sweep the shape's
+//! flat row-major points, and the values take the shape back through
+//! [`ShapedLandscape::from_values`]. The shape's variant matters in one
+//! place only: a 2-D grid transpiles the device at the spec's own
+//! depth, a tensor at the problem's.
 
 use oscar_core::grid::Shape;
-use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
+use oscar_core::landscape::ShapedLandscape;
 use oscar_core::usecases::mitigation::zne_factor_seed;
 use oscar_executor::device::DeviceSpec;
 use oscar_problems::workload::{ProblemInstance, VqeEvaluator};
@@ -189,7 +195,10 @@ impl LandscapeSource {
         );
         let Some(spec) = self.effective_device() else {
             let ideal = Ideal::new(problem);
-            return landscape_from_values(shape, ideal_pass(shape, |x| ideal.expectation(x)));
+            return ShapedLandscape::from_values(
+                shape,
+                ideal_pass(shape, |x| ideal.expectation(x)),
+            );
         };
         let moments = moments.get_or_init(|| {
             let ideal = Ideal::new(problem);
@@ -215,7 +224,7 @@ impl LandscapeSource {
                 noise_pass(moments, |m, i| dev.noisy_moments_at(m, scale, seed, i))
             }
         };
-        landscape_from_values(shape, values)
+        ShapedLandscape::from_values(shape, values)
     }
 }
 
@@ -268,14 +277,17 @@ impl Ideal {
 /// worker pool in last-axis-aligned chunks, counted in
 /// `source.circuit_evals`.
 fn ideal_pass<T: Copy + Default + Send>(shape: &Shape, f: impl Fn(&[f64]) -> T + Sync) -> Vec<T> {
-    let granule = shape.dims().last().copied().unwrap_or(1);
-    let mut out = vec![T::default(); shape.len()];
+    let tensor = shape.to_tensor();
+    let granule = tensor.axes()[tensor.rank() - 1].n;
+    let mut out = vec![T::default(); tensor.len()];
     oscar_par::for_each_chunk_mut(&mut out, granule, |offset, chunk| {
+        let mut point = vec![0.0; tensor.rank()];
         for (k, v) in chunk.iter_mut().enumerate() {
-            *v = f(&shape.point(offset + k));
+            tensor.point_into(offset + k, &mut point);
+            *v = f(&point);
         }
     });
-    circuit_evals().add(shape.len() as u64);
+    circuit_evals().add(tensor.len() as u64);
     out
 }
 
@@ -287,13 +299,6 @@ fn noise_pass(moments: &[(f64, f64)], noise: impl Fn((f64, f64), u64) -> f64) ->
         .enumerate()
         .map(|(i, &m)| noise(m, i as u64))
         .collect()
-}
-
-fn landscape_from_values(shape: &Shape, values: Vec<f64>) -> ShapedLandscape {
-    match shape {
-        Shape::Grid2d(grid) => Landscape::from_values(*grid, values).into(),
-        Shape::Tensor(tensor) => NdLandscape::from_values(tensor.clone(), values).into(),
-    }
 }
 
 #[cfg(test)]

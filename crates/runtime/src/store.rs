@@ -43,8 +43,8 @@
 //! | checksum | 16 | FNV-1a-128 over **all** preceding bytes |
 
 use crate::cache::{lock, LandscapeKey};
-use oscar_core::grid::{Axis, Grid2d, TensorShape};
-use oscar_core::landscape::{Landscape, NdLandscape, ShapedLandscape};
+use oscar_core::grid::{Axis, Grid2d, Shape, TensorShape};
+use oscar_core::landscape::ShapedLandscape;
 use oscar_qsim::fingerprint::Fingerprint;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -293,10 +293,9 @@ fn write_entry(dir: &Path, key: &LandscapeKey, landscape: &ShapedLandscape) {
 
 /// Serializes one entry per the module-level format table.
 fn encode_entry(key: &LandscapeKey, landscape: &ShapedLandscape) -> Vec<u8> {
-    let (kind, axes): (u8, Vec<Axis>) = match landscape {
-        ShapedLandscape::Grid2d(l) => (0, vec![l.grid().beta, l.grid().gamma]),
-        ShapedLandscape::Tensor(l) => (1, l.shape().axes().to_vec()),
-    };
+    // The kind byte: 0 for the grid variant, 1 for a tensor.
+    let kind = u8::from(landscape.as_grid2d().is_none());
+    let axes = landscape.shape().axes();
     let values = landscape.values();
     let mut out = Vec::with_capacity(FIXED_HEADER + axes.len() * 24 + 8 + values.len() * 8 + 16);
     out.extend_from_slice(&MAGIC);
@@ -304,7 +303,7 @@ fn encode_entry(key: &LandscapeKey, landscape: &ShapedLandscape) -> Vec<u8> {
     out.extend_from_slice(&key.encode());
     out.push(kind);
     out.extend_from_slice(&(axes.len() as u64).to_le_bytes());
-    for axis in &axes {
+    for axis in axes {
         out.extend_from_slice(&axis.lo.to_bits().to_le_bytes());
         out.extend_from_slice(&axis.hi.to_bits().to_le_bytes());
         out.extend_from_slice(&(axis.n as u64).to_le_bytes());
@@ -454,23 +453,18 @@ fn decode_entry(key: &LandscapeKey, bytes: &[u8]) -> Result<ShapedLandscape, Dec
     if r.pos != body.len() {
         return Err(DecodeError::Corrupt);
     }
-    match kind {
-        0 if axes.len() == 2 => {
-            let grid = Grid2d {
-                beta: axes[0],
-                gamma: axes[1],
-            };
-            Ok(Landscape::from_values(grid, values).into())
-        }
-        1 => Ok(NdLandscape::from_values(TensorShape::new(axes), values).into()),
-        _ => Err(DecodeError::Corrupt),
-    }
+    let shape = match kind {
+        0 if axes.len() == 2 => Shape::Grid2d(Grid2d::new(axes[0], axes[1])),
+        1 => Shape::Tensor(TensorShape::new(axes)),
+        _ => return Err(DecodeError::Corrupt),
+    };
+    Ok(ShapedLandscape::from_values(&shape, values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oscar_core::grid::Shape;
+    use oscar_core::landscape::{Landscape, NdLandscape};
     use oscar_problems::ising::IsingProblem;
     use oscar_problems::workload::ProblemInstance;
 
@@ -538,7 +532,7 @@ mod tests {
         store.save(&key, &landscape);
         store.flush();
         let back = store.load(&key).expect("warm store must hit");
-        assert_eq!(back.shape(), landscape.shape());
+        assert_eq!(back, *landscape, "the grid variant must survive the trip");
         let bits = |l: &ShapedLandscape| l.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&back), bits(&landscape));
         drop(store);
@@ -565,8 +559,29 @@ mod tests {
         store.save(&key, &landscape);
         store.flush();
         let back = store.load(&key).expect("tensor entry must load");
-        assert_eq!(back.shape(), shape);
-        assert_eq!(back.values(), landscape.values());
+        assert_eq!(back, *landscape);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rank2_tensor_entries_keep_the_tensor_variant() {
+        // A grid and a rank-2 tensor over the same axes share values but
+        // not the kind byte, so each loads back as its own variant.
+        let dir = test_dir("rank2");
+        let store = LandscapeStore::open(&dir).unwrap();
+        let (_, grid_landscape) = sample();
+        let shape = Shape::Tensor(grid_landscape.shape().clone());
+        let problem = ProblemInstance::ising(IsingProblem::mesh(2, 3), 1);
+        let key = LandscapeKey::exact(&problem, &shape);
+        let landscape = Arc::new(ShapedLandscape::from_values(
+            &shape,
+            grid_landscape.values().to_vec(),
+        ));
+        store.save(&key, &landscape);
+        store.flush();
+        let back = store.load(&key).expect("rank-2 tensor entry must load");
+        assert!(back.as_tensor().is_some());
+        assert_eq!(back, *landscape);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -3,7 +3,7 @@
 //! Used by `oscar-batch --connect` and the integration suite. One
 //! request per call: write a compact JSON line, read one reply line,
 //! parse it. The misbehaving counterpart (partial writes, slow reads,
-//! abrupt drops) lives in [`crate::fault`] behind the `fault` feature.
+//! abrupt drops) lives in the `fault` module, behind the `fault` feature.
 
 use crate::json::{self, Json};
 use crate::proto::SubmitReq;

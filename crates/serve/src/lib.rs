@@ -7,7 +7,7 @@
 //! ([`json`]), the protocol ([`proto`]), the admission policy
 //! ([`admission`]), the daemon ([`daemon`]), and a well-behaved client
 //! ([`client`]) are all hand-rolled, with a deterministic
-//! fault-injection harness ([`fault`], behind the `fault` feature)
+//! fault-injection harness (the `fault` module, behind the `fault` feature)
 //! scripting the misbehaviour the integration suite asserts against.
 //!
 //! The design centers on four robustness layers (see [`daemon`] for

@@ -36,17 +36,36 @@ use rand::SeedableRng;
 /// simulator state).
 pub const MAX_QUBITS: usize = 16;
 
-/// Largest grid side the service admits (`rows * cols` circuit
-/// evaluations per landscape).
-pub const MAX_GRID_SIDE: usize = 128;
+/// Largest side the service admits on any landscape axis: grid `rows`
+/// and `cols` and every N-D `shape` entry alike (the paper's 144×225
+/// p=2 grid fits).
+pub const MAX_GRID_SIDE: usize = 256;
 
 /// Largest tensor rank (parameter count) an N-D `shape` may declare.
 pub const MAX_SHAPE_RANK: usize = 16;
 
-/// Largest total landscape point count an N-D `shape` may declare
-/// (one circuit evaluation per point; 2-D grids are already bounded by
-/// [`MAX_GRID_SIDE`]²).
+/// Largest total point count of any landscape, 2-D grid or N-D
+/// `shape` (one circuit evaluation per point; = [`MAX_GRID_SIDE`]²).
 pub const MAX_SHAPE_POINTS: usize = 65_536;
+
+/// The one size rule for every landscape: each named axis in
+/// `2..=MAX_GRID_SIDE`, at most [`MAX_SHAPE_POINTS`] points in all.
+fn check_landscape_size(axes: &[(&str, usize)]) -> Result<(), RequestError> {
+    for &(name, n) in axes {
+        if !(2..=MAX_GRID_SIDE).contains(&n) {
+            return Err(RequestError::bad(format!(
+                "{name} must be in 2..={MAX_GRID_SIDE}"
+            )));
+        }
+    }
+    let points = axes.iter().fold(1usize, |p, &(_, n)| p.saturating_mul(n));
+    if points > MAX_SHAPE_POINTS {
+        return Err(RequestError::bad(format!(
+            "the landscape declares {points} points, over the {MAX_SHAPE_POINTS} cap"
+        )));
+    }
+    Ok(())
+}
 
 /// Structured protocol error codes (the `"error"` field of a reject).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,11 +159,12 @@ pub struct SubmitReq {
     pub instance_seed: u64,
     /// Sampling-pattern / SPSA seed.
     pub seed: u64,
-    /// Grid rows (beta axis), `2..=128`. Depth-1 QAOA only (0
+    /// Grid rows (beta axis), `2..=256`. Depth-1 QAOA only (0
     /// otherwise).
     pub rows: usize,
-    /// Grid columns (gamma axis), `2..=128`. Depth-1 QAOA only (0
-    /// otherwise).
+    /// Grid columns (gamma axis), `2..=256`. Depth-1 QAOA only (0
+    /// otherwise). `rows * cols` is capped at [`MAX_SHAPE_POINTS`]
+    /// like any landscape's point count.
     pub cols: usize,
     /// Sampling budget as a fraction of grid points in `(0, 1]`.
     pub fraction: f64,
@@ -266,25 +286,17 @@ impl SubmitReq {
                         "'shape' must have 1..={MAX_SHAPE_RANK} axes"
                     )));
                 }
-                let mut counts = Vec::with_capacity(arr.len());
-                let mut points = 1usize;
-                for entry in arr {
-                    let n = entry.as_u64().ok_or_else(|| {
-                        RequestError::bad("'shape' entries must be non-negative integers")
-                    })? as usize;
-                    if !(2..=MAX_GRID_SIDE).contains(&n) {
-                        return Err(RequestError::bad(format!(
-                            "'shape' axes must be in 2..={MAX_GRID_SIDE}"
-                        )));
-                    }
-                    points = points.saturating_mul(n);
-                    counts.push(n);
-                }
-                if points > MAX_SHAPE_POINTS {
-                    return Err(RequestError::bad(format!(
-                        "'shape' declares {points} landscape points, over the {MAX_SHAPE_POINTS} cap"
-                    )));
-                }
+                let counts = arr
+                    .iter()
+                    .map(|entry| {
+                        entry.as_u64().map(|n| n as usize).ok_or_else(|| {
+                            RequestError::bad("'shape' entries must be non-negative integers")
+                        })
+                    })
+                    .collect::<Result<Vec<usize>, _>>()?;
+                let axes: Vec<(&str, usize)> =
+                    counts.iter().map(|&n| ("'shape' axes", n)).collect();
+                check_landscape_size(&axes)?;
                 Some(counts)
             }
         };
@@ -325,13 +337,7 @@ impl SubmitReq {
                     }
                     let rows = req_u64(obj, "rows")? as usize;
                     let cols = req_u64(obj, "cols")? as usize;
-                    for (name, v) in [("rows", rows), ("cols", cols)] {
-                        if !(2..=MAX_GRID_SIDE).contains(&v) {
-                            return Err(RequestError::bad(format!(
-                                "'{name}' must be in 2..={MAX_GRID_SIDE}"
-                            )));
-                        }
-                    }
+                    check_landscape_size(&[("'rows'", rows), ("'cols'", cols)])?;
                     (qubits, rows, cols)
                 } else {
                     for field in ["rows", "cols"] {
@@ -678,6 +684,7 @@ pub fn result_to_json(result: &JobResult, include_values: bool) -> Json {
             Json::Arr(
                 result
                     .reconstruction
+                    .shape()
                     .dims()
                     .iter()
                     .map(|&n| Json::Num(n as f64))
@@ -872,6 +879,22 @@ mod tests {
                 r#"{"verb":"submit","problem":"maxcut","qubits":6,"depth":8,"shape":[60,60,60,60,60,60,60,60,60,60,60,60,60,60,60,60],"seed":1,"fraction":0.3}"#,
                 "over the point cap",
             ),
+            (
+                r#"{"verb":"submit","problem":"maxcut","qubits":8,"seed":1,"rows":257,"cols":8,"fraction":0.3}"#,
+                "257 grid rows",
+            ),
+            (
+                r#"{"verb":"submit","problem":"maxcut","qubits":8,"seed":1,"rows":8,"cols":257,"fraction":0.3}"#,
+                "257 grid columns",
+            ),
+            (
+                r#"{"verb":"submit","problem":"maxcut","qubits":8,"depth":2,"shape":[257,4,4,4],"seed":1,"fraction":0.3}"#,
+                "257-point shape axis",
+            ),
+            (
+                r#"{"verb":"submit","problem":"maxcut","qubits":8,"depth":2,"shape":[256,256,2,2],"seed":1,"fraction":0.3}"#,
+                "sides within the cap, points over it",
+            ),
         ] {
             let parsed = Request::from_json(&parse(bad).unwrap());
             assert!(
@@ -1057,6 +1080,24 @@ mod tests {
             assert_eq!(result_checksum(&a), result_checksum(&b), "{name}");
             assert_eq!(a.nrmse.to_bits(), b.nrmse.to_bits(), "{name}");
         }
+    }
+
+    #[test]
+    fn the_papers_144x225_grid_is_admitted() {
+        let line = r#"{"verb":"submit","problem":"maxcut","qubits":8,"seed":6,"rows":144,"cols":225,"fraction":0.05}"#;
+        let req = match Request::from_json(&parse(line).unwrap()) {
+            Ok(Request::Submit(req)) => req,
+            other => panic!("the paper's 144x225 grid must be admitted, got {other:?}"),
+        };
+        // The in-process spec: `oscar-batch --file` maps the job line
+        // `8 6 144 225 0.05` through `SubmitReq::new`.
+        let problem = IsingProblem::try_random_3_regular(8, &mut StdRng::seed_from_u64(6)).unwrap();
+        let reference =
+            JobSpec::new(problem, Grid2d::small_p1(144, 225), 0.05, 6).with_landscape_seed(6);
+        let file_line = SubmitReq::new(8, 6, 144, 225, 0.05).to_spec().unwrap();
+        let spec = req.to_spec().unwrap();
+        assert_eq!(format!("{spec:?}"), format!("{reference:?}"));
+        assert_eq!(format!("{file_line:?}"), format!("{reference:?}"));
     }
 
     #[test]

@@ -440,6 +440,7 @@ fn served_nd_results_are_bit_identical_to_the_library_path() {
             .collect();
         let expected_dims: Vec<u64> = local
             .reconstruction
+            .shape()
             .dims()
             .iter()
             .map(|&n| n as u64)

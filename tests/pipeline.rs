@@ -583,3 +583,113 @@ fn p2_reshaped_reconstruction_works() {
     // artificial patterns; accept the same ballpark.
     assert!(err < 0.3, "p=2 NRMSE {err}");
 }
+
+/// Bit-exact pin on whole jobs: the `result_checksum` (FNV-1a over the
+/// reconstruction's value bits, NRMSE, best point and best value) of
+/// small jobs of every shape family and mitigation, recorded from a
+/// known-good build. The goldens above compare to 1e-6; this one fails
+/// on a single flipped bit anywhere in stages 1 to 3.
+///
+/// A depth-1 problem swept over a rank-2 *tensor* with the grid's axes
+/// must give the grid job's checksum under every mitigation (descent
+/// off on both, since the descent interpolant is the one stage that
+/// differs by shape): the shape variant changes no value in stage 1,
+/// mitigation or reconstruction.
+#[test]
+fn pinned_job_checksums_are_bit_identical() {
+    use oscar::core::grid::Shape;
+    use oscar::problems::workload::{Molecule, ProblemInstance};
+    use oscar::runtime::descent::Descent;
+    use oscar::runtime::job::{run_job, JobSpec};
+    use oscar::runtime::mitigation::Mitigation;
+    use oscar::runtime::source::LandscapeSource;
+    use oscar::serve::result_checksum;
+
+    let perth = LandscapeSource::noisy(
+        oscar::executor::device::DeviceSpec::by_name("ibm perth").expect("known device"),
+    );
+    // Exact "none" and "gaussian", then "ibm perth" with every mitigation.
+    let cases = |problem: ProblemInstance, shape: Shape| {
+        let base = JobSpec::shaped(problem, shape, 0.3, 5);
+        let exact = ["none", "gaussian"].map(|m| (LandscapeSource::Exact, m));
+        let noisy =
+            ["none", "zne", "zne-linear", "readout", "gaussian"].map(|m| (perth.clone(), m));
+        exact
+            .into_iter()
+            .chain(noisy)
+            .map(|(source, mitigation)| {
+                base.clone()
+                    .with_source(source)
+                    .with_landscape_seed(3)
+                    .with_mitigation(Mitigation::by_name(mitigation).expect("known mitigation"))
+            })
+            .collect::<Vec<_>>()
+    };
+    let grid = Grid2d::small_p1(10, 14);
+    let p1 = ProblemInstance::ising(problem(6, 42), 1);
+    let p2 = ProblemInstance::ising(problem(6, 42), 2);
+    let h2 = JobSpec::shaped(
+        ProblemInstance::molecule(Molecule::H2),
+        Shape::vqe_scan(&[5, 5, 5]),
+        0.3,
+        5,
+    );
+
+    let pinned = [
+        "4fbcced8afbc7e05",
+        "9754bc2e1aeec4ac",
+        "4a47611590922bdc",
+        "5e5fa6707cd433a2",
+        "710141d0bc53e829",
+        "cf8b27c069b68a31",
+        "7364a89efa622b0e",
+        // p=2 tensor, same seven configurations.
+        "b98809ca7be17769",
+        "3b874caa624d2ba5",
+        "b87a53edfac0c32b",
+        "e10c9b084b777874",
+        "c8c7419858a38f49",
+        "4f9045ae79e22f8b",
+        "4c4f86bbc41cbf6a",
+        // H2 scan.
+        "087c4eea5b8e4af4",
+    ];
+    let jobs = cases(p1.clone(), Shape::Grid2d(grid))
+        .into_iter()
+        .chain(cases(p2, Shape::qaoa(2, 4, 5)))
+        .chain([h2]);
+    for (spec, expected) in jobs.zip(pinned) {
+        let got = format!("{:016x}", result_checksum(&run_job(&spec, None)));
+        assert_eq!(
+            got,
+            expected,
+            "{:?} {} over {:?}",
+            spec.source,
+            spec.mitigation.name(),
+            spec.shape
+        );
+    }
+
+    // Without descent, the grid jobs above, pinned, and the same jobs
+    // over a rank-2 tensor with the grid's axes agree bit for bit.
+    let no_descent = [
+        "b56f21df78b9e9b8",
+        "4f9c2fc9f41c6f0c",
+        "4fea02fbd3bc75db",
+        "2317e26cb453e8d9",
+        "1fe76e238dd224fd",
+        "0575f09bb43c7375",
+        "05cb42ab66bc72a2",
+    ];
+    let rank2 = Shape::Tensor(grid.into());
+    let grids = cases(p1.clone(), Shape::Grid2d(grid));
+    let tensors = cases(p1, rank2);
+    for ((g, t), expected) in grids.into_iter().zip(tensors).zip(no_descent) {
+        let name = g.mitigation.name();
+        let g = run_job(&g.with_descent(Descent::None), None);
+        let t = run_job(&t.with_descent(Descent::None), None);
+        assert!(t.reconstruction.as_tensor().is_some(), "{name}");
+        assert_eq!(format!("{:016x}", result_checksum(&g)), expected, "{name}");
+        assert_eq!(result_checksum(&t), result_checksum(&g), "{name}");
+    }
+}
