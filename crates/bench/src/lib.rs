@@ -13,6 +13,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use oscar_core::landscape::quantile_sorted;
 use oscar_problems::ising::IsingProblem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -105,20 +106,10 @@ impl Quartiles {
         assert!(!values.is_empty(), "no values");
         let mut sorted = values.to_vec();
         sorted.sort_by(|a, b| a.total_cmp(b));
-        let pick = |q: f64| {
-            let pos = q * (sorted.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let hi = pos.ceil() as usize;
-            if lo == hi {
-                sorted[lo]
-            } else {
-                sorted[lo] * (1.0 - (pos - lo as f64)) + sorted[hi] * (pos - lo as f64)
-            }
-        };
         Quartiles {
-            q25: pick(0.25),
-            q50: pick(0.5),
-            q75: pick(0.75),
+            q25: quantile_sorted(&sorted, 0.25),
+            q50: quantile_sorted(&sorted, 0.5),
+            q75: quantile_sorted(&sorted, 0.75),
         }
     }
 }

@@ -91,11 +91,6 @@ impl NdLandscape {
         &self.values
     }
 
-    /// Mutable access to the values (e.g. for noise injection).
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.values
-    }
-
     /// The row-major values, consuming the landscape.
     pub fn into_values(self) -> Vec<f64> {
         self.values
@@ -308,7 +303,11 @@ impl From<NdLandscape> for ShapedLandscape {
 }
 
 /// Linear-interpolated quantile of pre-sorted data.
-pub(crate) fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty or `q` is outside `[0, 1]`.
+pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty(), "quantile of empty data");
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1]");
     let pos = q * (sorted.len() - 1) as f64;

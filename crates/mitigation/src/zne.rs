@@ -78,11 +78,6 @@ impl ZneConfig {
         }
     }
 
-    /// Number of circuit evaluations one mitigated expectation costs.
-    pub fn cost_multiplier(&self) -> usize {
-        self.scale_factors.len()
-    }
-
     /// Runs the mitigation: `measure(c)` must return the noisy expectation
     /// at noise scale `c`; returns the zero-noise estimate.
     pub fn extrapolate(&self, measure: &mut dyn FnMut(f64) -> f64) -> f64 {

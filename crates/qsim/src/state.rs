@@ -117,14 +117,6 @@ impl StateVector {
         &self.amps
     }
 
-    /// Mutable view of the amplitudes.
-    ///
-    /// The caller is responsible for keeping the state normalized (or
-    /// calling [`Self::renormalize`]); used by projective measurement.
-    pub fn amplitudes_mut(&mut self) -> &mut [C64] {
-        &mut self.amps
-    }
-
     /// The squared-modulus probability of each basis state.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
@@ -133,17 +125,6 @@ impl StateVector {
     /// Total norm squared (should remain 1 under unitary evolution).
     pub fn norm_sqr(&self) -> f64 {
         self.amps.iter().map(|a| a.norm_sqr()).sum()
-    }
-
-    /// Renormalizes the state to unit norm (used after noisy projections).
-    pub fn renormalize(&mut self) {
-        let norm = self.norm_sqr().sqrt();
-        if norm > 0.0 {
-            let inv = 1.0 / norm;
-            for a in &mut self.amps {
-                *a = a.scale(inv);
-            }
-        }
     }
 
     /// Applies an arbitrary single-qubit unitary `[[u00,u01],[u10,u11]]`.

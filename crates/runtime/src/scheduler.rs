@@ -19,15 +19,19 @@
 //! any dispatch order.
 //!
 //! Submission is asynchronous: [`BatchRuntime::submit`] returns a
-//! [`JobHandle`] immediately; [`JobHandle::wait`] blocks for that job's
-//! [`JobResult`] and [`JobHandle::wait_timeout`] bounds the block;
-//! [`JobHandle::cancel`] drops a still-queued job without running it.
-//! A queued job whose [`SubmitOptions::deadline`] passes before an
-//! executor reaches it is cancelled server-side — it never runs, and
-//! its handle reports an *expired* [`JobLost`]. Overdue entries are
-//! discarded when an executor pops them; a long-running service can
-//! additionally call [`BatchRuntime::expire_overdue`] to sweep them
-//! out of the queue eagerly. [`BatchRuntime::run_batch`] is the
+//! [`JobHandle`] immediately. The handle and the queue entry share one
+//! slot holding the job's whole lifecycle, so a handle can be cloned
+//! and read any number of times: [`JobHandle::status`] reads the slot,
+//! [`JobHandle::wait_timeout`] blocks (boundedly) until the slot holds
+//! the shared result, [`JobHandle::wait`] consumes the handle for the
+//! owned [`JobResult`], and [`JobHandle::cancel`] drops a still-queued
+//! job without running it. A queued job whose
+//! [`SubmitOptions::deadline`] passes before an executor reaches it is
+//! cancelled server-side — it never runs, and its handle reports an
+//! *expired* [`JobLost`]. Overdue entries are discarded when an
+//! executor pops them; a long-running service can additionally call
+//! [`BatchRuntime::expire_overdue`] to sweep them out of the queue
+//! eagerly. [`BatchRuntime::run_batch`] is the
 //! synchronous convenience that submits a whole batch and returns
 //! results in submission order, and [`BatchRuntime::drain`] blocks
 //! until everything admitted so far has finished — the graceful-
@@ -35,9 +39,9 @@
 
 use crate::cache::{lock, CacheStats, LandscapeCache};
 use crate::job::{run_job, JobResult, JobSpec};
+use oscar_obs::Histogram;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -173,44 +177,103 @@ impl SubmitOptions {
 pub enum JobStatus {
     /// Waiting in the queue.
     Queued,
-    /// Claimed by an executor and running (or finished with the result
-    /// still in flight to the handle's channel).
+    /// Claimed by an executor and running.
     Running,
-    /// The result has been computed and delivered (or is waiting in the
-    /// handle's channel).
+    /// The result exists; every wait on any clone of the handle
+    /// returns it.
     Done,
     /// Dropped from the queue by [`JobHandle::cancel`] before running.
     Cancelled,
     /// Dropped from the queue because its [`SubmitOptions::deadline`]
     /// passed before an executor reached it.
     Expired,
-    /// The job panicked while running; no result exists.
+    /// No result will ever exist: the job panicked while running, or
+    /// the runtime was dropped with the job still queued.
     Failed,
 }
 
-/// Job lifecycle, shared between a queue entry and its [`JobHandle`].
-/// Transitions: `QUEUED -> RUNNING -> DONE` for the normal path;
-/// `QUEUED -> CANCELLED` for a cancel that wins the race with dispatch;
-/// `QUEUED -> EXPIRED` for a deadline that passes first;
-/// `RUNNING -> CANCEL_REQUESTED -> DONE` when cancel arrives too late
-/// (the job is not interrupted; the mark is observable but the result
-/// is still delivered); `RUNNING -> FAILED` when the job panics.
-const QUEUED: u8 = 0;
-const RUNNING: u8 = 1;
-const DONE: u8 = 2;
-const CANCELLED: u8 = 3;
-const CANCEL_REQUESTED: u8 = 4;
-const FAILED: u8 = 5;
-const EXPIRED: u8 = 6;
+impl JobStatus {
+    /// `true` for the states a job never leaves: everything but
+    /// [`JobStatus::Queued`] and [`JobStatus::Running`].
+    pub fn is_terminal(self) -> bool {
+        !matches!(self, JobStatus::Queued | JobStatus::Running)
+    }
+}
+
+/// One job's lifecycle, shared by its queue entry and every clone of
+/// its [`JobHandle`]. Transitions: `Queued -> Running -> Done` on the
+/// normal path; `Queued -> Cancelled` for a cancel that wins the race
+/// with dispatch; `Queued -> Expired` for a deadline that passes
+/// first; `Running -> Lost` when the job panics and `Queued -> Lost`
+/// when the runtime is dropped with the job still queued. A cancel
+/// that arrives after dispatch changes nothing: the job runs to
+/// `Done`. The last four states are terminal.
+enum Slot {
+    Queued,
+    Running,
+    Done(Arc<JobResult>),
+    Cancelled,
+    Expired,
+    Lost,
+}
+
+impl Slot {
+    fn is_pending(&self) -> bool {
+        matches!(self, Slot::Queued | Slot::Running)
+    }
+}
+
+/// The slot plus the condition variable its waiters block on.
+struct JobCell {
+    slot: Mutex<Slot>,
+    settled: Condvar,
+}
+
+impl JobCell {
+    /// Moves a queued job to `next` (running, cancelled or expired),
+    /// running `on_leave` first under the slot lock, so counters it
+    /// bumps are current by the time any handle sees the new state.
+    /// Returns `false`, changing nothing, when the job already left the
+    /// queue state.
+    fn leave_queue(&self, next: Slot, on_leave: impl FnOnce()) -> bool {
+        let mut slot = lock(&self.slot);
+        if !matches!(*slot, Slot::Queued) {
+            return false;
+        }
+        on_leave();
+        *slot = next;
+        if !slot.is_pending() {
+            self.settled.notify_all();
+        }
+        true
+    }
+
+    /// Settles a still-pending job with the terminal `outcome` and
+    /// wakes every waiter; a job already settled keeps its outcome.
+    fn settle(&self, outcome: Slot) {
+        let mut slot = lock(&self.slot);
+        if slot.is_pending() {
+            *slot = outcome;
+            self.settled.notify_all();
+        }
+    }
+}
 
 struct QueuedJob {
-    id: u64,
     priority: Priority,
     deadline: Option<Instant>,
     enqueued_at: Instant,
     spec: JobSpec,
-    tx: Sender<JobResult>,
-    state: Arc<AtomicU8>,
+    handle: JobHandle,
+}
+
+impl Drop for QueuedJob {
+    /// An entry that goes away before its job settled — the job
+    /// panicked, or the runtime abandoned the entry at shutdown —
+    /// settles it lost, so no waiter blocks forever.
+    fn drop(&mut self) {
+        self.handle.cell.settle(Slot::Lost);
+    }
 }
 
 // The heap is a max-heap: order by priority, then earliest deadline
@@ -227,7 +290,7 @@ impl Ord for QueuedJob {
                 (None, Some(_)) => std::cmp::Ordering::Less,
                 (None, None) => std::cmp::Ordering::Equal,
             })
-            .then_with(|| other.id.cmp(&self.id))
+            .then_with(|| other.handle.id.cmp(&self.handle.id))
     }
 }
 
@@ -239,7 +302,7 @@ impl PartialOrd for QueuedJob {
 
 impl PartialEq for QueuedJob {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id
+        self.handle.id == other.handle.id
     }
 }
 
@@ -260,6 +323,7 @@ struct SchedInner {
     expired: AtomicU64,
     failed: AtomicU64,
     running: AtomicU64,
+    latency_us: Histogram,
 }
 
 impl SchedInner {
@@ -270,13 +334,23 @@ impl SchedInner {
         drop(lock(&self.queue));
         self.done_cv.notify_all();
     }
+
+    /// Marks a still-queued `job` expired, counting it before any of
+    /// its handles can see the expiry; `false` when it already left the
+    /// queue state.
+    fn expire(&self, job: &QueuedJob) -> bool {
+        job.handle.cell.leave_queue(Slot::Expired, || {
+            self.expired.fetch_add(1, Ordering::Relaxed);
+            sched_metrics().expired.inc();
+        })
+    }
 }
 
 /// A persistent batch scheduler (see the [module docs](self)).
 ///
 /// Dropping the runtime shuts it down: executors finish the job they
-/// are on, remaining queued jobs are abandoned — their handles' `wait`
-/// returns `Err(`[`JobLost`]`)`. Prefer draining with
+/// are on, remaining queued jobs are abandoned — every clone of their
+/// handles resolves with `Err(`[`JobLost`]`)`. Prefer draining with
 /// [`Self::drain`] / [`Self::run_batch`] or by waiting every handle
 /// before drop.
 pub struct BatchRuntime {
@@ -334,20 +408,13 @@ impl std::fmt::Display for JobLost {
 
 impl std::error::Error for JobLost {}
 
-/// Builds the [`JobLost`] matching a job's final state.
-fn lost_from_state(id: u64, state: u8) -> JobLost {
-    JobLost {
-        id,
-        cancelled: state == CANCELLED,
-        expired: state == EXPIRED,
-    }
-}
-
-/// A claim ticket for one submitted job.
+/// A claim ticket for one submitted job. Clones share the job's slot:
+/// each sees the same status and the same [`Arc<JobResult>`], and any
+/// of them can cancel the job.
+#[derive(Clone)]
 pub struct JobHandle {
     id: u64,
-    rx: Receiver<JobResult>,
-    state: Arc<AtomicU8>,
+    cell: Arc<JobCell>,
 }
 
 impl std::fmt::Debug for JobHandle {
@@ -364,18 +431,17 @@ impl JobHandle {
         self.id
     }
 
-    /// The job's current lifecycle state. A `Cancelled`, `Expired`, or
-    /// `Failed` status is terminal: the job will never produce a
-    /// result. `Done` means the result exists (it may still be waiting
-    /// in the channel until [`Self::wait`] collects it).
+    /// The job's current lifecycle state. A `Done` status stays `Done`
+    /// however many times the result is read; `Cancelled`, `Expired`,
+    /// and `Failed` are terminal: the job will never produce a result.
     pub fn status(&self) -> JobStatus {
-        match self.state.load(Ordering::Acquire) {
-            QUEUED => JobStatus::Queued,
-            RUNNING | CANCEL_REQUESTED => JobStatus::Running,
-            DONE => JobStatus::Done,
-            CANCELLED => JobStatus::Cancelled,
-            EXPIRED => JobStatus::Expired,
-            _ => JobStatus::Failed,
+        match *lock(&self.cell.slot) {
+            Slot::Queued => JobStatus::Queued,
+            Slot::Running => JobStatus::Running,
+            Slot::Done(_) => JobStatus::Done,
+            Slot::Cancelled => JobStatus::Cancelled,
+            Slot::Expired => JobStatus::Expired,
+            Slot::Lost => JobStatus::Failed,
         }
     }
 
@@ -385,79 +451,75 @@ impl JobHandle {
     /// with it still queued, or it panicked — callers can distinguish
     /// every no-result path from success instead of unwinding.
     ///
-    /// A job already marked cancelled or expired returns `Err`
-    /// immediately, even while its dead queue entry still waits to be
-    /// discarded.
+    /// A job already cancelled or expired returns `Err` immediately,
+    /// even while its dead queue entry still waits to be discarded.
+    /// The result is moved out without a copy when this is the last
+    /// handle; otherwise the shared result is cloned.
     pub fn wait(self) -> Result<JobResult, JobLost> {
-        if let s @ (CANCELLED | EXPIRED) = self.state.load(Ordering::Acquire) {
-            return Err(lost_from_state(self.id, s));
-        }
-        self.rx
-            .recv()
-            .map_err(|_| lost_from_state(self.id, self.state.load(Ordering::Acquire)))
+        let shared = {
+            let slot = self
+                .cell
+                .settled
+                .wait_while(lock(&self.cell.slot), |slot| slot.is_pending())
+                .unwrap_or_else(PoisonError::into_inner);
+            match &*slot {
+                Slot::Done(result) => Arc::clone(result),
+                settled => return Err(self.lost(settled)),
+            }
+        };
+        // Dropping the last handle drops the slot's reference too.
+        drop(self);
+        Ok(Arc::try_unwrap(shared).unwrap_or_else(|shared| JobResult::clone(&shared)))
     }
 
-    /// Bounded [`Self::wait`]: blocks up to `timeout` for the result.
+    /// Bounded wait: blocks up to `timeout` for the result.
     ///
-    /// Returns `Ok(Some(result))` when the job finished, `Ok(None)`
-    /// when the timeout elapsed with the job still pending (call again
-    /// later — the handle stays valid), and `Err(`[`JobLost`]`)` when
-    /// the job will never produce a result (cancelled, expired,
-    /// runtime dropped, or panicked).
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<Option<JobResult>, JobLost> {
-        if let s @ (CANCELLED | EXPIRED) = self.state.load(Ordering::Acquire) {
-            return Err(lost_from_state(self.id, s));
-        }
-        match self.rx.recv_timeout(timeout) {
-            Ok(result) => Ok(Some(result)),
-            Err(RecvTimeoutError::Timeout) => {
-                // The job may have been cancelled or expired while we
-                // blocked; report that instead of a bare timeout.
-                match self.state.load(Ordering::Acquire) {
-                    s @ (CANCELLED | EXPIRED) => Err(lost_from_state(self.id, s)),
-                    _ => Ok(None),
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                Err(lost_from_state(self.id, self.state.load(Ordering::Acquire)))
-            }
+    /// Returns `Ok(Some(result))` when the job finished — every call,
+    /// on every clone of the handle, returns the same shared result —
+    /// `Ok(None)` when the timeout elapsed with the job still pending
+    /// (call again later), and `Err(`[`JobLost`]`)` when the job will
+    /// never produce a result (cancelled, expired, runtime dropped, or
+    /// panicked).
+    pub fn wait_timeout(&self, timeout: Duration) -> Result<Option<Arc<JobResult>>, JobLost> {
+        let (slot, _) = self
+            .cell
+            .settled
+            .wait_timeout_while(lock(&self.cell.slot), timeout, |slot| slot.is_pending())
+            .unwrap_or_else(PoisonError::into_inner);
+        match &*slot {
+            Slot::Queued | Slot::Running => Ok(None),
+            Slot::Done(result) => Ok(Some(Arc::clone(result))),
+            settled => Err(self.lost(settled)),
         }
     }
 
     /// Requests cancellation. Returns `true` when the job was still
     /// queued and is now dropped: it will never run, costs nothing
-    /// further, and [`Self::wait`] reports it as a cancelled
-    /// [`JobLost`]. Returns `false` when the job already started (it is
-    /// *marked* cancel-requested but not interrupted — its result is
-    /// still computed and delivered) or already finished.
+    /// further, and every wait reports it as a cancelled [`JobLost`].
+    /// Returns `false`, changing nothing, when the job already started
+    /// (it is not interrupted; its result is still delivered) or
+    /// already settled.
     ///
-    /// Cheap either way: one atomic transition; the queue entry is
+    /// Cheap either way: one slot transition; the queue entry is
     /// discarded lazily when an executor pops it (or eagerly by
     /// [`BatchRuntime::expire_overdue`]).
     pub fn cancel(&self) -> bool {
-        if self
-            .state
-            .compare_exchange(QUEUED, CANCELLED, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            return true;
-        }
-        // Too late to drop it; leave a mark on a still-running job.
-        let _ = self.state.compare_exchange(
-            RUNNING,
-            CANCEL_REQUESTED,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
-        false
+        self.cell.leave_queue(Slot::Cancelled, || {})
     }
 
-    /// `true` once the job has settled without a pending result path:
-    /// its result has been computed ([`JobStatus::Done`] — possibly
-    /// still waiting in the channel until [`Self::wait`] collects it)
-    /// or it panicked ([`JobStatus::Failed`]).
+    /// `true` once the job has run to an end: its result exists
+    /// ([`JobStatus::Done`]) or it never will ([`JobStatus::Failed`]).
     pub fn is_finished(&self) -> bool {
-        matches!(self.state.load(Ordering::Acquire), DONE | FAILED)
+        matches!(self.status(), JobStatus::Done | JobStatus::Failed)
+    }
+
+    /// The [`JobLost`] matching a settled, result-less slot.
+    fn lost(&self, slot: &Slot) -> JobLost {
+        JobLost {
+            id: self.id,
+            cancelled: matches!(slot, Slot::Cancelled),
+            expired: matches!(slot, Slot::Expired),
+        }
     }
 }
 
@@ -480,6 +542,7 @@ impl BatchRuntime {
             expired: AtomicU64::new(0),
             failed: AtomicU64::new(0),
             running: AtomicU64::new(0),
+            latency_us: Histogram::new(),
         });
         let executors = (0..config.concurrency.max(1))
             .map(|k| {
@@ -520,28 +583,27 @@ impl BatchRuntime {
     /// Enqueues a job with full [`SubmitOptions`] (priority and
     /// optional start deadline) and returns its handle immediately.
     pub fn submit_opts(&self, spec: JobSpec, opts: SubmitOptions) -> JobHandle {
-        let id = self.inner.submitted.fetch_add(1, Ordering::Relaxed) + 1;
-        let (tx, rx) = channel();
-        let state = Arc::new(AtomicU8::new(QUEUED));
-        {
-            let mut queue = lock(&self.inner.queue);
-            queue.push(QueuedJob {
-                id,
-                priority: opts.priority,
-                deadline: opts.deadline,
-                // lint:allow(wall-clock): queue-wait bookkeeping only;
-                // never reaches a JobResult.
-                enqueued_at: Instant::now(),
-                spec,
-                tx,
-                state: Arc::clone(&state),
-            });
-        }
+        let handle = JobHandle {
+            id: self.inner.submitted.fetch_add(1, Ordering::Relaxed) + 1,
+            cell: Arc::new(JobCell {
+                slot: Mutex::new(Slot::Queued),
+                settled: Condvar::new(),
+            }),
+        };
+        lock(&self.inner.queue).push(QueuedJob {
+            priority: opts.priority,
+            deadline: opts.deadline,
+            // lint:allow(wall-clock): queue-wait bookkeeping only;
+            // never reaches a JobResult.
+            enqueued_at: Instant::now(),
+            spec,
+            handle: handle.clone(),
+        });
         let metrics = sched_metrics();
         metrics.submitted.inc();
         metrics.queue_depth[opts.priority.index()].inc();
         self.inner.cv.notify_one();
-        JobHandle { id, rx, state }
+        handle
     }
 
     /// Submits every spec at [`Priority::Normal`] and waits for all
@@ -562,12 +624,11 @@ impl BatchRuntime {
     }
 
     /// Sweeps the queue, discarding entries that will never run: jobs
-    /// whose [`SubmitOptions::deadline`] has passed (marked expired)
-    /// and jobs already cancelled by their handle. Discarding drops
-    /// each entry's result channel, so blocked waiters wake with the
-    /// matching [`JobLost`] immediately instead of when an executor
-    /// eventually pops the dead entry. Returns how many jobs expired
-    /// in this sweep.
+    /// whose [`SubmitOptions::deadline`] has passed (marked expired,
+    /// which wakes their waiters with the expired [`JobLost`] now
+    /// instead of when an executor eventually pops the dead entry) and
+    /// jobs already cancelled by their handle. Returns how many jobs
+    /// expired in this sweep.
     ///
     /// Executors also discard overdue entries at pop time; this sweep
     /// exists so a long-running service (whose executors may be busy
@@ -588,7 +649,7 @@ impl BatchRuntime {
         let mut discarded = false;
         let metrics = sched_metrics();
         for job in entries {
-            if job.state.load(Ordering::Acquire) == CANCELLED {
+            if job.handle.status() == JobStatus::Cancelled {
                 self.inner.cancelled.fetch_add(1, Ordering::Relaxed);
                 metrics.cancelled.inc();
                 metrics.queue_depth[job.priority.index()].dec();
@@ -596,14 +657,7 @@ impl BatchRuntime {
                 continue;
             }
             if let Some(deadline) = job.deadline {
-                if now >= deadline
-                    && job
-                        .state
-                        .compare_exchange(QUEUED, EXPIRED, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    self.inner.expired.fetch_add(1, Ordering::Relaxed);
-                    metrics.expired.inc();
+                if now >= deadline && self.inner.expire(&job) {
                     metrics.queue_depth[job.priority.index()].dec();
                     expired_now += 1;
                     discarded = true;
@@ -674,6 +728,14 @@ impl BatchRuntime {
         self.inner.failed.load(Ordering::Relaxed)
     }
 
+    /// Wall times ([`JobResult::wall`]) of this runtime's completed
+    /// jobs, in microseconds. Owned by the runtime rather than the
+    /// global registry, so two runtimes in one process never mix their
+    /// latency estimates.
+    pub fn job_latency_us(&self) -> &Histogram {
+        &self.inner.latency_us
+    }
+
     /// Queue depth: entries waiting for an executor. Includes entries
     /// already cancelled or expired but not yet discarded (they cost a
     /// pop, not a run); [`Self::expire_overdue`] sweeps those out.
@@ -703,19 +765,16 @@ impl Drop for BatchRuntime {
         for handle in self.executors.drain(..) {
             let _ = handle.join();
         }
-        // Settle the queue-depth gauges for entries abandoned in the
-        // queue, so the process-wide depth does not leak across
-        // runtimes.
+        // Discard the entries abandoned in the queue: each settles its
+        // job lost as it drops (a cancelled or expired one keeps that
+        // outcome), so every outstanding handle wakes with
+        // `Err(JobLost)` rather than blocking forever. Settle the
+        // queue-depth gauges too, so the process-wide depth does not
+        // leak across runtimes.
         let metrics = sched_metrics();
         for job in lock(&self.inner.queue).drain() {
             metrics.queue_depth[job.priority.index()].dec();
         }
-        // After the executors exit, this runtime holds the only strong
-        // reference to the queue: dropping it (when `self.inner` drops
-        // right after this body) frees every abandoned entry's sender,
-        // so outstanding handles — including cancelled-then-dropped
-        // ones — wake from `wait` with `Err(JobLost)` rather than
-        // blocking forever.
     }
 }
 
@@ -758,33 +817,22 @@ fn executor_loop(inner: &SchedInner) {
         // Popped: the entry is out of the queue whatever happens next.
         metrics.queue_depth[job.priority.index()].dec();
         // Expire an overdue entry before claiming it: it never runs,
-        // and dropping it below wakes its waiter with the expired error.
+        // and its waiters wake with the expired error.
         if let Some(deadline) = job.deadline {
             // lint:allow(wall-clock): deadline check at pop time; an
             // expired job is dropped, not computed.
-            if Instant::now() >= deadline
-                && job
-                    .state
-                    .compare_exchange(QUEUED, EXPIRED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                inner.expired.fetch_add(1, Ordering::Relaxed);
-                metrics.expired.inc();
+            if Instant::now() >= deadline && inner.expire(&job) {
                 drop(job);
                 inner.running.fetch_sub(1, Ordering::AcqRel);
                 inner.notify_progress();
                 continue;
             }
         }
-        // Claim the job. A cancel that won the race left CANCELLED
-        // here: discard the entry (dropping its sender wakes the
-        // handle's `wait` with the cancelled error) and keep draining.
-        if job
-            .state
-            .compare_exchange(QUEUED, RUNNING, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            if job.state.load(Ordering::Acquire) == CANCELLED {
+        // Claim the job. A cancel that won the race already settled it
+        // (its waiters have the cancelled error): discard the entry and
+        // keep draining.
+        if !job.handle.cell.leave_queue(Slot::Running, || {}) {
+            if job.handle.status() == JobStatus::Cancelled {
                 inner.cancelled.fetch_add(1, Ordering::Relaxed);
                 metrics.cancelled.inc();
             }
@@ -799,29 +847,30 @@ fn executor_loop(inner: &SchedInner) {
         let seq = inner.dispatched.fetch_add(1, Ordering::Relaxed) + 1;
         // Scope stage spans recorded inside the pipeline to this job's
         // scheduler id (telemetry only — never enters the result).
-        let _span_scope = oscar_obs::span::JobScope::enter(job.id);
+        let _span_scope = oscar_obs::span::JobScope::enter(job.handle.id);
         // Contain a panicking job: the executor must survive to keep
         // draining the queue — if it died instead, jobs still queued
-        // behind the poison pill would wait forever (their senders live
+        // behind the poison pill would wait forever (their entries live
         // in the queue, which the runtime keeps alive). The panicked
-        // job's sender is dropped without a send, so its handle's
-        // `wait` returns `Err(JobLost)`.
+        // job's entry drops unsettled below, which settles it lost.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_job(&job.spec, Some(&inner.cache))
         }));
         if let Ok(mut result) = outcome {
-            result.job_id = job.id;
+            result.job_id = job.handle.id;
             result.dispatch_seq = seq;
+            inner.latency_us.record_duration(result.wall);
             inner.completed.fetch_add(1, Ordering::Relaxed);
             metrics.completed.inc();
-            job.state.store(DONE, Ordering::Release);
-            // A dropped handle just means nobody is waiting for this result.
-            let _ = job.tx.send(result);
+            job.handle.cell.settle(Slot::Done(Arc::new(result)));
         } else {
             inner.failed.fetch_add(1, Ordering::Relaxed);
             metrics.failed.inc();
-            job.state.store(FAILED, Ordering::Release);
         }
+        // Release the entry (settling a panicked job lost) before
+        // leaving the running count, so `drain` never returns with a
+        // handle still pending.
+        drop(job);
         inner.running.fetch_sub(1, Ordering::AcqRel);
         inner.notify_progress();
     }

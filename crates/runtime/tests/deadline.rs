@@ -73,8 +73,8 @@ fn wait_timeout_surfaces_executor_death() {
     wait_until_busy(&runtime);
     let doomed = runtime.submit(quick_spec(33, 1));
     // Drop the runtime from another thread while this one blocks in
-    // wait_timeout: the abandoned queue entry's channel closes and the
-    // wait must resolve to Err(JobLost) long before the timeout.
+    // wait_timeout: the abandoned queue entry settles the job lost and
+    // the wait must resolve to Err(JobLost) long before the timeout.
     let dropper = std::thread::spawn(move || drop(runtime));
     let err = match doomed.wait_timeout(Duration::from_secs(120)) {
         Err(err) => err,

@@ -1,18 +1,18 @@
 //! Admission control: retry-after hints and deadline→priority mapping.
 //!
 //! The daemon never queues without bound. A submit that would exceed
-//! the pending-queue capacity or the client's live-job quota is
-//! rejected with a structured `retry_after_ms` computed here from the
-//! observed job-latency distribution (the daemon's
-//! [`oscar_obs::Histogram`] of job wall time in microseconds): the
-//! backlog ahead of the client, divided by the executor concurrency,
-//! times the median job latency — i.e. roughly when a queue slot
-//! should free up. Before any job has completed (cold start) a
-//! conservative default median is assumed. The histogram's log2
-//! buckets make the median a ≤2x-coarse estimate, which is exactly the
-//! precision a backoff hint needs — and unlike the sliding
-//! sample window it replaced, recording is lock-free and the estimate
-//! covers the daemon's whole lifetime.
+//! the pending-queue capacity or the client's quota of unsettled jobs
+//! is rejected with a structured `retry_after_ms` computed here from
+//! the observed job-latency distribution (the [`oscar_obs::Histogram`]
+//! of job wall time in microseconds that the daemon's runtime keeps,
+//! `BatchRuntime::job_latency_us`): the backlog ahead of the client,
+//! divided by the executor concurrency, times the median job latency —
+//! i.e. roughly when a queue slot should free up. Before any job has
+//! completed (cold start) a conservative default median is assumed.
+//! The histogram's log2 buckets make the median a ≤2x-coarse estimate,
+//! which is exactly the precision a backoff hint needs — and unlike the
+//! sliding sample window it replaced, recording is lock-free and the
+//! estimate covers the daemon's whole lifetime.
 //!
 //! Deadlines map to dispatch priority the same way: a deadline tighter
 //! than a few medians' worth of queue time cannot tolerate sitting

@@ -7,47 +7,11 @@
 
 use crate::json::{self, Json};
 use crate::proto::SubmitReq;
-use std::io::{BufRead, BufReader, Error, ErrorKind, Read, Write};
+use crate::stream::Stream;
+use std::io::{BufRead, BufReader, Error, ErrorKind, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
-
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.set_read_timeout(timeout),
-            Stream::Tcp(s) => s.set_read_timeout(timeout),
-        }
-    }
-
-    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.write_all(bytes),
-            Stream::Tcp(s) => s.write_all(bytes),
-        }
-    }
-}
 
 /// A connected protocol client (one line-delimited JSON exchange per
 /// [`Self::request`]).
@@ -103,7 +67,7 @@ impl Client {
     pub fn request(&mut self, request: &Json) -> std::io::Result<Json> {
         let mut line = request.to_string_compact().into_bytes();
         line.push(b'\n');
-        self.writer.write_all_bytes(&line)?;
+        self.writer.write_all(&line)?;
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply)?;
         if n == 0 {

@@ -3,17 +3,22 @@
 //! Thread-per-connection over a nonblocking accept loop. Every
 //! connection reads line-delimited JSON requests ([`crate::proto`]),
 //! executes them against the shared [`ServerState`], and writes one
-//! reply line per request. The robustness contract, layer by layer:
+//! reply line per request. Each admitted job lives in the runtime's
+//! [`JobHandle`]: the daemon's registry maps wire ids to (clones of)
+//! those handles, and `status`, `cancel` and `wait` read them, so a
+//! job's lifecycle has one owner. The robustness contract, layer by
+//! layer:
 //!
 //! * **Admission control** — a submit is rejected (never queued) when
 //!   the pending queue is at [`ServeConfig::max_pending`] or the
-//!   client is at [`ServeConfig::per_client_quota`] live jobs; rejects
-//!   carry a `retry_after_ms` hint from [`crate::admission`] fed by a
-//!   daemon-local [`oscar_obs::Histogram`] of completed-job wall times
-//!   (microseconds, lock-free to record).
+//!   client is at [`ServeConfig::per_client_quota`] unsettled jobs
+//!   (its own handles that are still queued or running, pruned on each
+//!   submit); rejects carry a `retry_after_ms` hint from
+//!   [`crate::admission`] fed by the runtime's histogram of
+//!   completed-job wall times ([`BatchRuntime::job_latency_us`]).
 //! * **Observability** — the `metrics` verb returns the process-wide
 //!   [`oscar_obs::Registry`] snapshot (cache/pool/scheduler/stage
-//!   metrics) plus daemon-local admission counters as JSON, and
+//!   metrics) plus the daemon's admission counters as JSON, and
 //!   optionally Prometheus-style text ([`ServeConfig::metrics_text`]).
 //! * **Deadlines** — `deadline_ms` maps to a dynamic [`Priority`] (a
 //!   tight deadline is promoted to High) plus a hard start deadline in
@@ -23,28 +28,30 @@
 //! * **Failure containment** — malformed lines get protocol error
 //!   replies on the same connection; a client disconnect cancels that
 //!   client's still-queued (never running) jobs; an executor panic
-//!   surfaces as a `job-lost` reply; the job registry is bounded
-//!   (settled entries are evicted oldest-first past
+//!   surfaces as a `job-lost` reply; the job registry is bounded (the
+//!   tick evicts settled handles oldest-first past
 //!   [`ServeConfig::registry_capacity`]), so no workload pattern grows
 //!   daemon memory without bound.
 //! * **Graceful drain** — the `drain` verb (or SIGTERM in the binary,
 //!   via [`DaemonHandle::drain`]) stops admission, lets running and
-//!   queued jobs finish ([`BatchRuntime::drain`]), settles every
-//!   registry entry so waiters flush, then shuts the daemon down.
+//!   queued jobs finish ([`BatchRuntime::drain`] returns only once
+//!   every handle has settled, which wakes every waiter), then shuts
+//!   the daemon down.
 
 use crate::admission;
 use crate::json::Json;
 use crate::proto::{result_to_json, ErrorCode, Request, RequestError, SubmitReq};
-use oscar_obs::{Histogram, MetricValue, Registry};
+use crate::stream::Stream;
+use oscar_obs::{MetricValue, Registry};
 use oscar_runtime::scheduler::{
-    BatchRuntime, JobHandle, JobLost, JobStatus, Priority, RuntimeConfig, SubmitOptions,
+    BatchRuntime, JobHandle, JobStatus, Priority, RuntimeConfig, SubmitOptions,
 };
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,7 +84,7 @@ pub struct ServeConfig {
     pub registry_capacity: usize,
     /// Default `wait` bound when the request names none.
     pub default_wait_ms: u64,
-    /// Accept-loop tick: expiry sweeps, settle sweeps, and shutdown
+    /// Accept-loop tick: expiry sweeps, registry eviction, and shutdown
     /// checks run at this period, and connection reads poll at it.
     pub tick: Duration,
 }
@@ -99,112 +106,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// A settled job's terminal record.
-enum Outcome {
-    Done(Box<oscar_runtime::job::JobResult>),
-    Cancelled,
-    Expired,
-    Lost,
-}
-
-impl Outcome {
-    fn from_lost(lost: &JobLost) -> Outcome {
-        if lost.was_cancelled() {
-            Outcome::Cancelled
-        } else if lost.was_expired() {
-            Outcome::Expired
-        } else {
-            Outcome::Lost
-        }
-    }
-}
-
-/// Per-connection accounting shared with that client's job entries.
-#[derive(Default)]
-struct ClientSlot {
-    /// Unsettled jobs submitted on this connection (the quota basis).
-    live: AtomicUsize,
-}
-
-/// One registered job: the runtime handle plus its settled outcome.
-struct JobEntry {
-    id: u64,
-    client: Arc<ClientSlot>,
-    /// Held only for the duration of one bounded operation (a cancel,
-    /// a status read, or one `wait` chunk of at most two ticks), so a
-    /// blocked waiter can never starve another client's cancel.
-    handle: Mutex<JobHandle>,
-    outcome: Mutex<Option<Outcome>>,
-    /// Set exactly once, when the outcome is stored (guards the
-    /// client's live-count decrement).
-    settled: AtomicBool,
-}
-
-impl JobEntry {
-    /// Records the job's terminal outcome exactly once, releasing its
-    /// quota slot and (for completions) feeding the latency window.
-    fn settle(&self, state: &ServerState, outcome: Outcome) {
-        if self
-            .settled
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return;
-        }
-        if let Outcome::Done(result) = &outcome {
-            state.latency_us.record_duration(result.wall);
-        }
-        *lock(&self.outcome) = Some(outcome);
-        self.client.live.fetch_sub(1, Ordering::AcqRel);
-    }
-
-    /// Non-blocking settle attempt: fetches a finished result (or a
-    /// terminal loss) out of the handle if one is ready.
-    fn try_settle(&self, state: &ServerState) {
-        if self.settled.load(Ordering::Acquire) {
-            return;
-        }
-        self.poll_and_settle(state, Duration::ZERO);
-    }
-
-    /// Waits up to `timeout` for the handle to resolve and settles what
-    /// it yields, both under the handle lock (lock order: handle, then
-    /// outcome). Taking a result out of the handle leaves it
-    /// disconnected; a concurrent poller that saw that before the
-    /// result was settled would settle the job as lost, so no other
-    /// poller may look between the take and the settle. Returns `false`
-    /// on a timeout.
-    fn poll_and_settle(&self, state: &ServerState, timeout: Duration) -> bool {
-        let handle = lock(&self.handle);
-        match handle.wait_timeout(timeout) {
-            Ok(Some(result)) => self.settle(state, Outcome::Done(Box::new(result))),
-            Ok(None) => return false,
-            Err(lost) => self.settle(state, Outcome::from_lost(&lost)),
-        }
-        true
-    }
-
-    /// The wire status string.
-    fn status_str(&self) -> &'static str {
-        if let Some(outcome) = lock(&self.outcome).as_ref() {
-            return match outcome {
-                Outcome::Done(_) => "done",
-                Outcome::Cancelled => "cancelled",
-                Outcome::Expired => "expired",
-                Outcome::Lost => "failed",
-            };
-        }
-        match lock(&self.handle).status() {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Cancelled => "cancelled",
-            JobStatus::Expired => "expired",
-            JobStatus::Failed => "failed",
-        }
-    }
-}
-
 fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -213,12 +114,8 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 pub struct ServerState {
     runtime: BatchRuntime,
     config: ServeConfig,
-    jobs: Mutex<BTreeMap<u64, Arc<JobEntry>>>,
-    /// Completed-job wall times in microseconds. Daemon-local (not in
-    /// the global registry) so concurrent daemons in one process — the
-    /// test suites run several — never pollute each other's admission
-    /// estimates.
-    latency_us: Histogram,
+    /// Every registered job's handle, by wire id (the scheduler id).
+    jobs: Mutex<BTreeMap<u64, JobHandle>>,
     draining: AtomicBool,
     shutdown: AtomicBool,
     /// Connections being served right now.
@@ -252,7 +149,6 @@ impl ServerState {
             }),
             config,
             jobs: Mutex::new(BTreeMap::new()),
-            latency_us: Histogram::new(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             connections_open: AtomicU64::new(0),
@@ -277,47 +173,34 @@ impl ServerState {
     }
 
     /// Graceful drain: closes admission, runs every admitted job to
-    /// completion, settles all registry entries (flushing waiters),
-    /// and requests shutdown. Idempotent; safe from any thread.
+    /// completion (which settles every handle, flushing waiters), and
+    /// requests shutdown. Idempotent; safe from any thread.
     pub fn drain_and_stop(&self) {
         self.draining.store(true, Ordering::Release);
         self.runtime.drain();
-        let entries: Vec<Arc<JobEntry>> = lock(&self.jobs).values().cloned().collect();
-        for entry in entries {
-            entry.try_settle(self);
-        }
         self.shutdown.store(true, Ordering::Release);
     }
 
-    /// The periodic tick: sweep expired queue entries, settle finished
-    /// jobs (feeding the latency histogram even when nobody waits), and
-    /// evict settled entries past the registry bound.
+    /// The periodic tick: sweep expired queue entries and evict settled
+    /// jobs, oldest first, past the registry bound.
     fn tick(&self) {
         self.runtime.expire_overdue();
-        let entries: Vec<Arc<JobEntry>> = lock(&self.jobs).values().cloned().collect();
-        for entry in &entries {
-            entry.try_settle(self);
-        }
         let mut jobs = lock(&self.jobs);
-        if jobs.len() > self.config.registry_capacity {
-            let excess = jobs.len() - self.config.registry_capacity;
-            let evict: Vec<u64> = jobs
-                .values()
-                .filter(|e| e.settled.load(Ordering::Acquire))
-                .take(excess)
-                .map(|e| e.id)
-                .collect();
-            for id in evict {
-                jobs.remove(&id);
-            }
-        }
+        let mut excess = jobs.len().saturating_sub(self.config.registry_capacity);
+        jobs.retain(|_, handle| {
+            let evict = excess > 0 && handle.status().is_terminal();
+            excess -= usize::from(evict);
+            !evict
+        });
     }
 
-    fn entry(&self, id: u64) -> Option<Arc<JobEntry>> {
+    fn handle(&self, id: u64) -> Option<JobHandle> {
         lock(&self.jobs).get(&id).cloned()
     }
 
-    fn handle_submit(&self, client: &Arc<ClientSlot>, req: &SubmitReq) -> Json {
+    /// Admits `req` or rejects it; `submitted` is the connection's own
+    /// handles, the basis of its quota.
+    fn handle_submit(&self, submitted: &mut Vec<JobHandle>, req: &SubmitReq) -> Json {
         if self.is_draining() {
             self.rejected_draining.fetch_add(1, Ordering::Relaxed);
             return error_reply(
@@ -328,13 +211,11 @@ impl ServerState {
         }
         let pending = self.runtime.pending();
         let running = self.runtime.running() as usize;
-        let retry = admission::retry_after(
-            pending,
-            running,
-            self.runtime.concurrency(),
-            &self.latency_us,
-        );
-        if client.live.load(Ordering::Acquire) >= self.config.per_client_quota {
+        let latency_us = self.runtime.job_latency_us();
+        let retry =
+            admission::retry_after(pending, running, self.runtime.concurrency(), latency_us);
+        submitted.retain(|handle| !handle.status().is_terminal());
+        if submitted.len() >= self.config.per_client_quota {
             self.rejected_quota.fetch_add(1, Ordering::Relaxed);
             return error_reply(
                 ErrorCode::QuotaExceeded,
@@ -363,114 +244,92 @@ impl ServerState {
         let mut opts = SubmitOptions::with_priority(req.priority.unwrap_or(Priority::Normal));
         if let Some(ms) = req.deadline_ms {
             let budget = Duration::from_millis(ms);
-            opts.priority = admission::deadline_priority(req.priority, budget, &self.latency_us);
+            opts.priority = admission::deadline_priority(req.priority, budget, latency_us);
             opts = opts.deadline(Instant::now() + budget);
         }
         let priority = opts.priority;
         let handle = self.runtime.submit_opts(spec, opts);
         let id = handle.id();
-        client.live.fetch_add(1, Ordering::AcqRel);
-        let entry = Arc::new(JobEntry {
-            id,
-            client: Arc::clone(client),
-            handle: Mutex::new(handle),
-            outcome: Mutex::new(None),
-            settled: AtomicBool::new(false),
-        });
-        lock(&self.jobs).insert(id, entry);
+        lock(&self.jobs).insert(id, handle.clone());
+        submitted.push(handle);
         Json::Obj(vec![
             ("ok".to_string(), Json::Bool(true)),
             ("job".to_string(), Json::Num(id as f64)),
             ("status".to_string(), Json::Str("queued".into())),
-            (
-                "priority".to_string(),
-                Json::Str(
-                    match priority {
-                        Priority::Low => "low",
-                        Priority::Normal => "normal",
-                        Priority::High => "high",
-                    }
-                    .into(),
-                ),
-            ),
+            ("priority".to_string(), Json::Str(priority.as_str().into())),
         ])
     }
 
     fn handle_cancel(&self, id: u64) -> Json {
-        let Some(entry) = self.entry(id) else {
+        let Some(handle) = self.handle(id) else {
             return unknown_job(id);
         };
-        let cancelled = if entry.settled.load(Ordering::Acquire) {
-            false
-        } else {
-            let won = lock(&entry.handle).cancel();
-            if won {
-                entry.settle(self, Outcome::Cancelled);
-            }
-            won
-        };
+        let cancelled = handle.cancel();
         Json::Obj(vec![
             ("ok".to_string(), Json::Bool(true)),
             ("job".to_string(), Json::Num(id as f64)),
             ("cancelled".to_string(), Json::Bool(cancelled)),
-            ("status".to_string(), Json::Str(entry.status_str().into())),
+            ("status".to_string(), status_json(&handle)),
         ])
     }
 
     fn handle_status(&self, id: u64) -> Json {
-        let Some(entry) = self.entry(id) else {
+        let Some(handle) = self.handle(id) else {
             return unknown_job(id);
         };
-        entry.try_settle(self);
         Json::Obj(vec![
             ("ok".to_string(), Json::Bool(true)),
             ("job".to_string(), Json::Num(id as f64)),
-            ("status".to_string(), Json::Str(entry.status_str().into())),
+            ("status".to_string(), status_json(&handle)),
         ])
     }
 
     fn handle_wait(&self, id: u64, timeout_ms: Option<u64>, include_values: bool) -> Json {
-        let Some(entry) = self.entry(id) else {
+        let Some(handle) = self.handle(id) else {
             return unknown_job(id);
         };
-        let total = Duration::from_millis(timeout_ms.unwrap_or(self.config.default_wait_ms));
-        let deadline = Instant::now() + total;
-        loop {
-            if let Some(reply) = self.outcome_reply(&entry, include_values) {
-                return reply;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            // Short chunks so the handle mutex is released often
-            // (cancels interleave) and shutdown is noticed promptly.
-            let chunk = remaining.min(self.config.tick * 2);
-            if !entry.poll_and_settle(self, chunk) && remaining.is_zero() {
-                return Json::Obj(vec![
-                    ("ok".to_string(), Json::Bool(true)),
-                    ("job".to_string(), Json::Num(id as f64)),
-                    ("status".to_string(), Json::Str(entry.status_str().into())),
-                    ("timed_out".to_string(), Json::Bool(true)),
-                ]);
-            }
+        let timeout = Duration::from_millis(timeout_ms.unwrap_or(self.config.default_wait_ms));
+        match handle.wait_timeout(timeout) {
+            Ok(Some(result)) => Json::Obj(vec![
+                ("ok".to_string(), Json::Bool(true)),
+                ("job".to_string(), Json::Num(id as f64)),
+                ("status".to_string(), Json::Str("done".into())),
+                (
+                    "result".to_string(),
+                    result_to_json(&result, include_values),
+                ),
+            ]),
+            Ok(None) => Json::Obj(vec![
+                ("ok".to_string(), Json::Bool(true)),
+                ("job".to_string(), Json::Num(id as f64)),
+                ("status".to_string(), status_json(&handle)),
+                ("timed_out".to_string(), Json::Bool(true)),
+            ]),
+            Err(lost) if lost.was_cancelled() => lost_reply(id, ErrorCode::Cancelled),
+            Err(lost) if lost.was_expired() => lost_reply(id, ErrorCode::Expired),
+            Err(_) => lost_reply(id, ErrorCode::JobLost),
         }
     }
 
-    fn outcome_reply(&self, entry: &JobEntry, include_values: bool) -> Option<Json> {
-        let outcome = lock(&entry.outcome);
-        match outcome.as_ref()? {
-            Outcome::Done(result) => Some(Json::Obj(vec![
-                ("ok".to_string(), Json::Bool(true)),
-                ("job".to_string(), Json::Num(entry.id as f64)),
-                ("status".to_string(), Json::Str("done".into())),
-                ("result".to_string(), result_to_json(result, include_values)),
-            ])),
-            Outcome::Cancelled => Some(lost_reply(entry.id, ErrorCode::Cancelled)),
-            Outcome::Expired => Some(lost_reply(entry.id, ErrorCode::Expired)),
-            Outcome::Lost => Some(lost_reply(entry.id, ErrorCode::JobLost)),
-        }
+    /// The daemon's own counters, in reply order (shared by `stats`
+    /// and `metrics`).
+    fn daemon_counters(&self) -> Vec<(String, Json)> {
+        [
+            ("connections_open", &self.connections_open),
+            ("connections_total", &self.connections_total),
+            ("rejected_overload", &self.rejected_overload),
+            ("rejected_quota", &self.rejected_quota),
+            ("rejected_draining", &self.rejected_draining),
+            ("bad_requests", &self.bad_requests),
+            ("disconnect_cancelled", &self.disconnect_cancelled),
+        ]
+        .into_iter()
+        .map(|(name, counter)| num(name, counter.load(Ordering::Relaxed)))
+        .collect()
     }
 
     fn handle_stats(&self) -> Json {
-        let latency = self.latency_us.snapshot();
+        let latency = self.runtime.job_latency_us().snapshot();
         // Histogram percentiles are bucket upper bounds: ≤2x-coarse
         // estimates, Null until the first job completes.
         let ms = |us: u64| {
@@ -480,82 +339,33 @@ impl ServerState {
                 Json::Num(us as f64 / 1e3)
             }
         };
-        Json::Obj(vec![
+        let runtime = &self.runtime;
+        let mut fields = vec![
             ("ok".to_string(), Json::Bool(true)),
-            (
-                "pending".to_string(),
-                Json::Num(self.runtime.pending() as f64),
-            ),
-            (
-                "running".to_string(),
-                Json::Num(self.runtime.running() as f64),
-            ),
-            (
-                "submitted".to_string(),
-                Json::Num(self.runtime.submitted() as f64),
-            ),
-            (
-                "completed".to_string(),
-                Json::Num(self.runtime.completed() as f64),
-            ),
-            (
-                "cancelled".to_string(),
-                Json::Num(self.runtime.cancelled() as f64),
-            ),
-            (
-                "expired".to_string(),
-                Json::Num(self.runtime.expired() as f64),
-            ),
-            (
-                "failed".to_string(),
-                Json::Num(self.runtime.failed() as f64),
-            ),
-            (
-                "max_pending".to_string(),
-                Json::Num(self.config.max_pending as f64),
-            ),
-            (
-                "per_client_quota".to_string(),
-                Json::Num(self.config.per_client_quota as f64),
-            ),
-            (
-                "connections_open".to_string(),
-                Json::Num(self.connections_open.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "connections_total".to_string(),
-                Json::Num(self.connections_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rejected_overload".to_string(),
-                Json::Num(self.rejected_overload.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rejected_quota".to_string(),
-                Json::Num(self.rejected_quota.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rejected_draining".to_string(),
-                Json::Num(self.rejected_draining.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "bad_requests".to_string(),
-                Json::Num(self.bad_requests.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "disconnect_cancelled".to_string(),
-                Json::Num(self.disconnect_cancelled.load(Ordering::Relaxed) as f64),
-            ),
+            num("pending", runtime.pending() as u64),
+            num("running", runtime.running()),
+            num("submitted", runtime.submitted()),
+            num("completed", runtime.completed()),
+            num("cancelled", runtime.cancelled()),
+            num("expired", runtime.expired()),
+            num("failed", runtime.failed()),
+            num("max_pending", self.config.max_pending as u64),
+            num("per_client_quota", self.config.per_client_quota as u64),
+        ];
+        fields.extend(self.daemon_counters());
+        fields.extend([
             ("median_latency_ms".to_string(), ms(latency.p50)),
             ("p99_latency_ms".to_string(), ms(latency.p99)),
             ("draining".to_string(), Json::Bool(self.is_draining())),
-        ])
+        ]);
+        Json::Obj(fields)
     }
 
     /// The `metrics` verb: the full process-wide registry snapshot
     /// (every `cache.*`, `pool.*`, `sched.*`, `stage.*` metric) under
-    /// `"registry"`, daemon-local admission metrics under `"serve"`,
-    /// and Prometheus-style text under `"text"` when configured.
+    /// `"registry"`, the runtime's job-latency histogram and the
+    /// daemon's admission counters under `"serve"`, and
+    /// Prometheus-style text under `"text"` when configured.
     fn handle_metrics(&self) -> Json {
         let registry = Registry::global();
         let registry_fields: Vec<(String, Json)> = registry
@@ -563,40 +373,13 @@ impl ServerState {
             .into_iter()
             .map(|(name, value)| (name, metric_value_to_json(&value)))
             .collect();
-        let serve_fields = vec![
-            (
-                "job_latency_us".to_string(),
-                metric_value_to_json(&MetricValue::Histogram(self.latency_us.snapshot())),
-            ),
-            (
-                "connections_open".to_string(),
-                Json::Num(self.connections_open.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "connections_total".to_string(),
-                Json::Num(self.connections_total.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rejected_overload".to_string(),
-                Json::Num(self.rejected_overload.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rejected_quota".to_string(),
-                Json::Num(self.rejected_quota.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "rejected_draining".to_string(),
-                Json::Num(self.rejected_draining.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "bad_requests".to_string(),
-                Json::Num(self.bad_requests.load(Ordering::Relaxed) as f64),
-            ),
-            (
-                "disconnect_cancelled".to_string(),
-                Json::Num(self.disconnect_cancelled.load(Ordering::Relaxed) as f64),
-            ),
-        ];
+        let mut serve_fields = vec![(
+            "job_latency_us".to_string(),
+            metric_value_to_json(&MetricValue::Histogram(
+                self.runtime.job_latency_us().snapshot(),
+            )),
+        )];
+        serve_fields.extend(self.daemon_counters());
         let mut fields = vec![
             ("ok".to_string(), Json::Bool(true)),
             ("registry".to_string(), Json::Obj(registry_fields)),
@@ -636,6 +419,26 @@ fn metric_value_to_json(value: &MetricValue) -> Json {
             ("p99".to_string(), Json::Num(snap.p99 as f64)),
         ]),
     }
+}
+
+/// A numeric reply field.
+fn num(name: &str, value: u64) -> (String, Json) {
+    (name.to_string(), Json::Num(value as f64))
+}
+
+/// The wire status string of a job.
+fn status_json(handle: &JobHandle) -> Json {
+    Json::Str(
+        match handle.status() {
+            JobStatus::Queued => "queued",
+            JobStatus::Running => "running",
+            JobStatus::Done => "done",
+            JobStatus::Cancelled => "cancelled",
+            JobStatus::Expired => "expired",
+            JobStatus::Failed => "failed",
+        }
+        .into(),
+    )
 }
 
 fn retry_field(retry: Duration) -> (String, Json) {
@@ -679,34 +482,6 @@ fn unknown_job(id: u64) -> Json {
 enum Listener {
     Unix(UnixListener),
     Tcp(TcpListener),
-}
-
-enum Conn {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Conn {
-    fn set_read_timeout(&self, timeout: Duration) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.set_read_timeout(Some(timeout)),
-            Conn::Tcp(s) => s.set_read_timeout(Some(timeout)),
-        }
-    }
-
-    fn read_some(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-
-    fn write_all_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        match self {
-            Conn::Unix(s) => s.write_all(bytes),
-            Conn::Tcp(s) => s.write_all(bytes),
-        }
-    }
 }
 
 /// A running daemon: its shared state plus the accept-loop thread.
@@ -819,8 +594,8 @@ fn accept_loop(listener: Listener, state: &Arc<ServerState>) {
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     while !state.is_shut_down() {
         let conn = match &listener {
-            Listener::Unix(l) => l.accept().map(|(s, _)| Conn::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Conn::Tcp(s)),
+            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
         };
         match conn {
             Ok(conn) => {
@@ -849,14 +624,15 @@ fn accept_loop(listener: Listener, state: &Arc<ServerState>) {
     }
 }
 
-fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
-    if conn.set_read_timeout(state.config.tick).is_err() {
+fn connection_loop(mut conn: Stream, state: &Arc<ServerState>) {
+    if conn.set_read_timeout(Some(state.config.tick)).is_err() {
         return;
     }
     state.connections_total.fetch_add(1, Ordering::Relaxed);
     state.connections_open.fetch_add(1, Ordering::Relaxed);
-    let client = Arc::new(ClientSlot::default());
-    let mut submitted: Vec<u64> = Vec::new();
+    // This connection's jobs: the basis of its quota, and what a
+    // disconnect cancels.
+    let mut submitted: Vec<JobHandle> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
     // When a line overflows the bound we reply once, then discard
@@ -869,7 +645,7 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
             clean_shutdown = true;
             break;
         }
-        match conn.read_some(&mut chunk) {
+        match conn.read(&mut chunk) {
             Ok(0) => break,
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
@@ -889,15 +665,15 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
                     // read — enforcement must not depend on how the
                     // kernel segments the byte stream.
                     if line.len() > state.config.max_line_bytes {
-                        if conn.write_all_bytes(&line_too_long_reply(state)).is_err() {
+                        if conn.write_all(&line_too_long_reply(state)).is_err() {
                             break 'conn;
                         }
                         continue;
                     }
-                    let (reply, drain) = handle_line(state, &client, &mut submitted, line);
+                    let (reply, drain) = handle_line(state, &mut submitted, line);
                     let mut bytes = reply.to_string_compact().into_bytes();
                     bytes.push(b'\n');
-                    if conn.write_all_bytes(&bytes).is_err() {
+                    if conn.write_all(&bytes).is_err() {
                         break 'conn;
                     }
                     if drain {
@@ -908,7 +684,7 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
                 if buf.len() > state.config.max_line_bytes {
                     buf.clear();
                     discarding = true;
-                    if conn.write_all_bytes(&line_too_long_reply(state)).is_err() {
+                    if conn.write_all(&line_too_long_reply(state)).is_err() {
                         break 'conn;
                     }
                 }
@@ -924,12 +700,9 @@ fn connection_loop(mut conn: Conn, state: &Arc<ServerState>) {
     // cancelled (running jobs finish — their results may be claimed by
     // another connection). A clean shutdown (drain) keeps everything.
     if !clean_shutdown && !state.is_draining() {
-        for id in submitted {
-            if let Some(entry) = state.entry(id) {
-                if !entry.settled.load(Ordering::Acquire) && lock(&entry.handle).cancel() {
-                    entry.settle(state, Outcome::Cancelled);
-                    state.disconnect_cancelled.fetch_add(1, Ordering::Relaxed);
-                }
+        for handle in submitted {
+            if handle.cancel() {
+                state.disconnect_cancelled.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
@@ -952,8 +725,7 @@ fn line_too_long_reply(state: &Arc<ServerState>) -> Vec<u8> {
 /// the connection (and daemon) should now shut down (drain verb).
 fn handle_line(
     state: &Arc<ServerState>,
-    client: &Arc<ClientSlot>,
-    submitted: &mut Vec<u64>,
+    submitted: &mut Vec<JobHandle>,
     line: &str,
 ) -> (Json, bool) {
     let parsed = match crate::json::parse(line) {
@@ -974,13 +746,7 @@ fn handle_line(
         }
     };
     match request {
-        Request::Submit(req) => {
-            let reply = state.handle_submit(client, &req);
-            if let Some(id) = reply.get("job").and_then(Json::as_u64) {
-                submitted.push(id);
-            }
-            (reply, false)
-        }
+        Request::Submit(req) => (state.handle_submit(submitted, &req), false),
         Request::Cancel { job } => (state.handle_cancel(job), false),
         Request::Status { job } => (state.handle_status(job), false),
         Request::Wait {

@@ -11,16 +11,12 @@
 //! All helpers are synchronous and deterministic: a scripted scenario
 //! produces the same daemon-visible byte sequence every run.
 
+use crate::stream::Stream;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::time::Duration;
-
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
 
 /// A protocol client with no manners: raw byte writes, slow reads,
 /// abrupt drops.
@@ -51,19 +47,13 @@ impl RawClient {
 
     /// Bounds how long reads block (`None` blocks indefinitely).
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        match &self.stream {
-            Stream::Unix(s) => s.set_read_timeout(timeout),
-            Stream::Tcp(s) => s.set_read_timeout(timeout),
-        }
+        self.stream.set_read_timeout(timeout)
     }
 
     /// Writes raw bytes exactly as given — no newline is appended, so
     /// partial lines stay partial.
     pub fn send_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        match &mut self.stream {
-            Stream::Unix(s) => s.write_all(bytes),
-            Stream::Tcp(s) => s.write_all(bytes),
-        }
+        self.stream.write_all(bytes)
     }
 
     /// Writes `line` plus the terminating newline.
@@ -74,10 +64,7 @@ impl RawClient {
 
     fn read_byte(&mut self) -> std::io::Result<Option<u8>> {
         let mut byte = [0u8; 1];
-        let n = match &mut self.stream {
-            Stream::Unix(s) => s.read(&mut byte)?,
-            Stream::Tcp(s) => s.read(&mut byte)?,
-        };
+        let n = self.stream.read(&mut byte)?;
         Ok(if n == 0 { None } else { Some(byte[0]) })
     }
 

@@ -34,6 +34,7 @@ pub mod daemon;
 pub mod fault;
 pub mod json;
 pub mod proto;
+mod stream;
 
 pub use client::Client;
 pub use daemon::{spawn_tcp, spawn_unix, DaemonHandle, ServeConfig, ServerState};
