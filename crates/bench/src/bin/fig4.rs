@@ -3,11 +3,10 @@
 //! (1q error 0.003, 2q error 0.007).
 
 use oscar_bench::{full_scale, maxcut_instances, print_header, seeded, Quartiles};
-use oscar_core::grid::{Grid2d, Grid4d};
-use oscar_core::landscape::Landscape;
+use oscar_core::grid::{Grid2d, Shape};
+use oscar_core::landscape::{Landscape, NdLandscape};
 use oscar_core::metrics::nrmse;
 use oscar_core::reconstruct::Reconstructor;
-use oscar_core::reshape::generate_p2_landscape;
 use oscar_cs::measure::SamplePattern;
 use oscar_executor::device::QpuDevice;
 use oscar_executor::latency::LatencyModel;
@@ -72,12 +71,9 @@ fn main() {
 
     // p=2: reshape the 4-D landscape to 2-D (paper: (12,12,15,15) ->
     // (144,225)); reduced scale uses (8,8,10,10) -> (64,100).
-    let grid4 = if full_scale() {
-        Grid4d::standard_p2()
-    } else {
-        Grid4d::small_p2(8, 10)
-    };
-    let (rows, cols) = grid4.reshaped_dims();
+    let (nb, ng) = if full_scale() { (12, 15) } else { (8, 10) };
+    let p2 = Shape::qaoa(2, nb, ng).to_tensor();
+    let (rows, cols) = (nb * nb, ng * ng);
     let p2_qubits = if full_scale() {
         vec![12usize, 16]
     } else {
@@ -103,11 +99,14 @@ fn main() {
                         LatencyModel::instant(),
                         5000 + pi as u64,
                     );
-                    generate_p2_landscape(&grid4, |betas, gammas| dev.execute(betas, gammas))
+                    // Serial, row-major: `dev` draws its noise from one
+                    // sequential RNG.
+                    NdLandscape::generate(p2.clone(), |p| dev.execute(&p[..2], &p[2..]))
                 } else {
                     let eval = problem.qaoa_evaluator();
-                    generate_p2_landscape(&grid4, |betas, gammas| eval.expectation(betas, gammas))
-                };
+                    NdLandscape::generate(p2.clone(), |p| eval.expectation(&p[..2], &p[2..]))
+                }
+                .into_values();
                 for (fi, &frac) in FRACTIONS.iter().enumerate() {
                     let mut rng = seeded(6000 + (pi * 10 + fi) as u64);
                     let pattern = SamplePattern::random(rows, cols, frac, &mut rng);

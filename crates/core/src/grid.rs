@@ -119,63 +119,6 @@ impl Grid2d {
     }
 }
 
-/// The paper's p=2 grid (Table 1): β ∈ [−π/8, π/8] with 12 points per β
-/// axis and γ ∈ [−π/4, π/4] with 15 points per γ axis (12² × 15² ≈ 32k
-/// circuits). The 4-D landscape is reshaped to 2-D
-/// (see [`crate::reshape`]) before reconstruction.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Grid4d {
-    /// Axis for each of the two β parameters.
-    pub beta: Axis,
-    /// Axis for each of the two γ parameters.
-    pub gamma: Axis,
-}
-
-impl Grid4d {
-    /// The paper's p=2 configuration.
-    pub fn standard_p2() -> Self {
-        use std::f64::consts::{FRAC_PI_4, FRAC_PI_8};
-        Grid4d {
-            beta: Axis::new(-FRAC_PI_8, FRAC_PI_8, 12),
-            gamma: Axis::new(-FRAC_PI_4, FRAC_PI_4, 15),
-        }
-    }
-
-    /// A reduced p=2 configuration for quick runs.
-    pub fn small_p2(nb: usize, ng: usize) -> Self {
-        use std::f64::consts::{FRAC_PI_4, FRAC_PI_8};
-        Grid4d {
-            beta: Axis::new(-FRAC_PI_8, FRAC_PI_8, nb),
-            gamma: Axis::new(-FRAC_PI_4, FRAC_PI_4, ng),
-        }
-    }
-
-    /// Total number of 4-D grid points `nb² × ng²`.
-    pub fn len(&self) -> usize {
-        self.beta.n * self.beta.n * self.gamma.n * self.gamma.n
-    }
-
-    /// `true` for the (impossible) empty grid.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The `(β1, β2, γ1, γ2)` tuple at 4-D index `(b1, b2, g1, g2)`.
-    pub fn point(&self, b1: usize, b2: usize, g1: usize, g2: usize) -> (f64, f64, f64, f64) {
-        (
-            self.beta.value(b1),
-            self.beta.value(b2),
-            self.gamma.value(g1),
-            self.gamma.value(g2),
-        )
-    }
-
-    /// The shape of the reshaped 2-D landscape: `(nb², ng²)`.
-    pub fn reshaped_dims(&self) -> (usize, usize) {
-        (self.beta.n * self.beta.n, self.gamma.n * self.gamma.n)
-    }
-}
-
 /// A general N-D parameter grid: one [`Axis`] per circuit parameter,
 /// landscapes stored row-major with the **last** axis contiguous.
 ///
@@ -416,9 +359,13 @@ mod tests {
 
     #[test]
     fn standard_p2_matches_table1() {
-        let g = Grid4d::standard_p2();
-        assert_eq!(g.len(), 12 * 12 * 15 * 15);
-        assert_eq!(g.reshaped_dims(), (144, 225));
+        // 12² × 15² = 32,400 circuits, reshaped to a 144 × 225 grid by
+        // pairing the two β axes into rows and the two γ axes into
+        // columns.
+        let s = Shape::qaoa(2, 12, 15);
+        assert_eq!(s.len(), 32_400);
+        let d = s.dims();
+        assert_eq!((d[0] * d[1], d[2] * d[3]), (144, 225));
     }
 
     #[test]
@@ -456,17 +403,18 @@ mod tests {
 
     #[test]
     fn qaoa_shape_depth_two_matches_paper_ranges() {
+        use std::f64::consts::{FRAC_PI_4, FRAC_PI_8};
         let s = Shape::qaoa(2, 12, 15);
         assert_eq!(s.rank(), 4);
         assert_eq!(s.dims(), vec![12, 12, 15, 15]);
-        assert_eq!(s.len(), Grid4d::standard_p2().len());
-        match &s {
-            Shape::Tensor(t) => {
-                let std = Grid4d::standard_p2();
-                assert!((t.axes()[0].lo - std.beta.lo).abs() < 1e-15);
-                assert!((t.axes()[2].hi - std.gamma.hi).abs() < 1e-15);
-            }
-            Shape::Grid2d(_) => panic!("p=2 must produce a tensor"),
+        // β ∈ [−π/8, π/8] and γ ∈ [−π/4, π/4], bit for bit.
+        let t = s.to_tensor();
+        for (k, axis) in t.axes().iter().enumerate() {
+            let hi = if k < 2 { FRAC_PI_8 } else { FRAC_PI_4 };
+            assert_eq!(
+                (axis.lo.to_bits(), axis.hi.to_bits()),
+                ((-hi).to_bits(), hi.to_bits())
+            );
         }
     }
 

@@ -16,7 +16,6 @@
 //! * [`metrics`] — NRMSE and the landscape-shape metrics (Eqs. 1–4);
 //! * [`interpolate`] — rectangular bivariate splines for instant
 //!   optimizer queries;
-//! * [`reshape`] — the 4-D → 2-D reshaping used for p=2 QAOA;
 //! * [`usecases`] — noise-mitigation benchmarking, optimizer debugging,
 //!   and OSCAR-based initialization.
 //!
@@ -43,12 +42,11 @@ pub mod interpolate;
 pub mod landscape;
 pub mod metrics;
 pub mod reconstruct;
-pub mod reshape;
 pub mod usecases;
 
 /// Glob-import of the most used types.
 pub mod prelude {
-    pub use crate::grid::{Axis, Grid2d, Grid4d, Shape, TensorShape};
+    pub use crate::grid::{Axis, Grid2d, Shape, TensorShape};
     pub use crate::interpolate::{BivariateSpline, CubicSpline, MultilinearInterp};
     pub use crate::landscape::{Landscape, NdLandscape, ShapedLandscape};
     pub use crate::metrics::{nrmse, LandscapeMetrics};

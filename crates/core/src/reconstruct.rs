@@ -131,6 +131,12 @@ impl Reconstructor {
 
     /// Reconstructs a raw row-major array (no [`Grid2d`] attached) —
     /// used by the reshaped p=2 pipeline where the 2-D axes are synthetic.
+    ///
+    /// Paper §4.2.4: the p=2 landscape over `(β1, β2, γ1, γ2)`, stored
+    /// row-major, *is* the `(nb², ng²)` array whose row pairs the two β
+    /// indices and whose column pairs the two γ indices, so reshaping
+    /// moves no data. It introduces artificial repeating patterns that
+    /// cost some accuracy (Figure 4 C/D).
     pub fn reconstruct_array(
         &self,
         rows: usize,

@@ -196,11 +196,6 @@ impl ZneConfig {
             }
         }
     }
-
-    /// Shot-noise variance amplification: `sum w_i^2`.
-    pub fn variance_amplification(&self) -> f64 {
-        self.weights().iter().map(|w| w * w).sum()
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +223,6 @@ mod tests {
         assert!((w[0] - 3.0).abs() < 1e-12);
         assert!((w[1] + 3.0).abs() < 1e-12);
         assert!((w[2] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn richardson_amplifies_variance_more_than_linear() {
-        let r = ZneConfig::richardson_123().variance_amplification();
-        let l = ZneConfig::linear_13().variance_amplification();
-        assert!(
-            r > 3.0 * l,
-            "Richardson amplification {r} should far exceed linear {l}"
-        );
     }
 
     #[test]

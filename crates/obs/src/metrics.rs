@@ -42,15 +42,6 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     }
 }
 
-/// Inclusive lower bound of bucket `index` (`0` or `2^(index-1)`).
-pub fn bucket_lower_bound(index: usize) -> u64 {
-    if index == 0 {
-        0
-    } else {
-        1u64 << (index - 1)
-    }
-}
-
 /// A monotonically increasing counter handle. Cloning shares the
 /// underlying atomic; updates are relaxed atomic adds.
 #[derive(Clone, Debug)]
@@ -463,8 +454,10 @@ mod tests {
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), 64);
         for i in 0..HISTOGRAM_BUCKETS {
-            assert!(bucket_lower_bound(i) <= bucket_upper_bound(i));
-            assert_eq!(bucket_index(bucket_lower_bound(i)), i);
+            if i > 0 {
+                // The bucket starts one past its predecessor's end.
+                assert_eq!(bucket_index(bucket_upper_bound(i - 1) + 1), i);
+            }
             assert_eq!(bucket_index(bucket_upper_bound(i)), i);
         }
     }

@@ -6,7 +6,6 @@
 //! circuit; [`GateCounts`] summarizes the one- and two-qubit gate volume,
 //! which downstream noise models use.
 
-use crate::complex::C64;
 use crate::pauli::PauliString;
 use crate::state::StateVector;
 
@@ -340,40 +339,6 @@ impl Circuit {
     }
 }
 
-/// A matrix helper exposing the single-qubit unitaries used by [`Op`]
-/// (available for tests and external decompositions).
-pub fn single_qubit_matrix(op: &Op, params: &[f64]) -> Option<[[C64; 2]; 2]> {
-    let frac = std::f64::consts::FRAC_1_SQRT_2;
-    Some(match op {
-        Op::H(_) => [
-            [C64::real(frac), C64::real(frac)],
-            [C64::real(frac), C64::real(-frac)],
-        ],
-        Op::X(_) => [[C64::ZERO, C64::ONE], [C64::ONE, C64::ZERO]],
-        Op::Y(_) => [[C64::ZERO, C64::NEG_I], [C64::I, C64::ZERO]],
-        Op::Z(_) => [[C64::ONE, C64::ZERO], [C64::ZERO, -C64::ONE]],
-        Op::Rx(_, p) => {
-            let t = p.resolve(params) / 2.0;
-            [
-                [C64::real(t.cos()), C64::new(0.0, -t.sin())],
-                [C64::new(0.0, -t.sin()), C64::real(t.cos())],
-            ]
-        }
-        Op::Ry(_, p) => {
-            let t = p.resolve(params) / 2.0;
-            [
-                [C64::real(t.cos()), C64::real(-t.sin())],
-                [C64::real(t.sin()), C64::real(t.cos())],
-            ]
-        }
-        Op::Rz(_, p) => {
-            let t = p.resolve(params) / 2.0;
-            [[C64::cis(-t), C64::ZERO], [C64::ZERO, C64::cis(t)]]
-        }
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,19 +433,6 @@ mod tests {
         let g = c.gate_counts();
         assert_eq!(g.two_qubit, 4); // 2*(3-1)
         assert_eq!(g.one_qubit, 7); // 1 + 2*3
-    }
-
-    #[test]
-    fn single_qubit_matrix_consistency() {
-        let op = Op::Ry(0, Param::Fixed(0.8));
-        let m = single_qubit_matrix(&op, &[]).unwrap();
-        let mut a = StateVector::zero_state(1);
-        a.apply_single(0, m);
-        let mut b = StateVector::zero_state(1);
-        b.ry(0, 0.8);
-        for (x, y) in a.amplitudes().iter().zip(b.amplitudes()) {
-            assert!((*x - *y).norm() < 1e-12);
-        }
     }
 
     #[test]

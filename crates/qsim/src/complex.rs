@@ -93,24 +93,6 @@ impl C64 {
         }
     }
 
-    /// Multiplies by `i` without a full complex multiply.
-    #[inline]
-    pub fn mul_i(self) -> Self {
-        C64 {
-            re: -self.im,
-            im: self.re,
-        }
-    }
-
-    /// Multiplies by `-i` without a full complex multiply.
-    #[inline]
-    pub fn mul_neg_i(self) -> Self {
-        C64 {
-            re: self.im,
-            im: -self.re,
-        }
-    }
-
     /// Returns `true` when both components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -239,13 +221,6 @@ mod tests {
     #[test]
     fn i_squared_is_minus_one() {
         assert_eq!(C64::I * C64::I, C64::new(-1.0, 0.0));
-    }
-
-    #[test]
-    fn mul_i_shortcut_matches_full_multiply() {
-        let z = C64::new(0.3, -0.7);
-        assert_eq!(z.mul_i(), z * C64::I);
-        assert_eq!(z.mul_neg_i(), z * C64::NEG_I);
     }
 
     #[test]

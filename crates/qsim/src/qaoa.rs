@@ -102,11 +102,6 @@ impl QaoaEvaluator {
         self.diag.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Maximum cost value.
-    pub fn max_cost(&self) -> f64 {
-        self.diag.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
     /// Evaluates `<C>` for depth `p = betas.len() = gammas.len()`.
     ///
     /// The circuit convention matches the paper (Farhi et al. QAOA): start
@@ -323,10 +318,9 @@ mod tests {
     }
 
     #[test]
-    fn min_max_cost() {
+    fn min_cost_is_the_smallest_diagonal_entry() {
         let eval = QaoaEvaluator::new(2, single_edge_diag());
         assert_eq!(eval.min_cost(), -1.0);
-        assert_eq!(eval.max_cost(), 0.0);
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl StateVector {
         self.apply_single(q, [[C64::ONE, C64::ZERO], [C64::ZERO, C64::I]]);
     }
 
-    /// Inverse phase gate S† = diag(1, -i).
-    pub fn sdg(&mut self, q: usize) {
-        self.apply_single(q, [[C64::ONE, C64::ZERO], [C64::ZERO, C64::NEG_I]]);
-    }
-
     /// T gate = diag(1, e^{iπ/4}).
     pub fn t(&mut self, q: usize) {
         self.apply_single(
@@ -399,22 +394,6 @@ impl StateVector {
             .sum()
     }
 
-    /// Mean and variance of a dense diagonal observable under this state.
-    ///
-    /// The variance is exactly the single-shot measurement variance, used to
-    /// model shot noise without sampling.
-    pub fn moments_diagonal(&self, diag: &[f64]) -> (f64, f64) {
-        assert_eq!(diag.len(), self.amps.len(), "diagonal length mismatch");
-        let mut e = 0.0;
-        let mut e2 = 0.0;
-        for (a, &d) in self.amps.iter().zip(diag.iter()) {
-            let p = a.norm_sqr();
-            e += p * d;
-            e2 += p * d * d;
-        }
-        (e, (e2 - e * e).max(0.0))
-    }
-
     /// Samples `shots` basis-state measurement outcomes.
     pub fn sample<R: Rng + ?Sized>(&self, shots: usize, rng: &mut R) -> Vec<u64> {
         let mut cdf = Vec::with_capacity(self.amps.len());
@@ -433,28 +412,12 @@ impl StateVector {
             })
             .collect()
     }
-
-    /// Estimates the expectation of a dense diagonal observable from `shots`
-    /// sampled measurements (the finite-shot analogue of
-    /// [`Self::expectation_diagonal`]).
-    pub fn sampled_expectation_diagonal<R: Rng + ?Sized>(
-        &self,
-        diag: &[f64],
-        shots: usize,
-        rng: &mut R,
-    ) -> f64 {
-        assert!(shots > 0, "need at least one shot");
-        let outcomes = self.sample(shots, rng);
-        outcomes.iter().map(|&b| diag[b as usize]).sum::<f64>() / shots as f64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pauli::Pauli;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     const EPS: f64 = 1e-10;
 
@@ -626,26 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn moments_variance_nonnegative() {
-        let psi = StateVector::plus_state(3);
-        let diag: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        let (e, v) = psi.moments_diagonal(&diag);
-        assert_close(e, 3.5);
-        assert!(v > 0.0);
-    }
-
-    #[test]
-    fn sampling_converges_to_expectation() {
-        let mut psi = StateVector::zero_state(2);
-        psi.h(0);
-        psi.cnot(0, 1);
-        let diag = vec![1.0, 0.0, 0.0, -1.0];
-        let mut rng = StdRng::seed_from_u64(7);
-        let est = psi.sampled_expectation_diagonal(&diag, 40_000, &mut rng);
-        assert!(est.abs() < 0.02, "sampled estimate {est} too far from 0");
-    }
-
-    #[test]
     fn apply_pauli_x_equals_gate_x() {
         let mut a = StateVector::plus_state(2);
         a.ry(0, 0.3);
@@ -673,17 +616,6 @@ mod tests {
     #[should_panic(expected = "qubit count out of range")]
     fn rejects_zero_qubits() {
         let _ = StateVector::zero_state(0);
-    }
-
-    #[test]
-    fn s_sdg_cancel() {
-        let mut psi = StateVector::plus_state(1);
-        let reference = psi.clone();
-        psi.s(0);
-        psi.sdg(0);
-        for (a, b) in psi.amplitudes().iter().zip(reference.amplitudes()) {
-            assert!((*a - *b).norm() < EPS);
-        }
     }
 
     #[test]

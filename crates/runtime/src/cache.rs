@@ -1,11 +1,11 @@
-//! Bounded LRU caching for landscapes (and anything else hashable).
+//! Bounded, deduplicating landscape cache.
 //!
 //! A batch of reconstruction jobs frequently revisits the same
 //! `(problem, grid, seed)` triple — parameter sweeps vary the sampling
 //! seed or solver config while the ground-truth landscape (a full grid
 //! of circuit evaluations, by far the most expensive pipeline stage)
-//! stays fixed. [`LandscapeCache`] dedupes those repeats behind a
-//! bounded [`LruCache`].
+//! stays fixed. [`LandscapeCache`] produces each key once and serves
+//! every repeat from memory, or from its optional disk tier.
 
 use crate::source::LandscapeSource;
 use oscar_core::grid::Shape;
@@ -15,7 +15,6 @@ use oscar_problems::workload::ProblemInstance;
 use oscar_qsim::fingerprint::{tag, Fingerprint};
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 /// Counters describing cache effectiveness.
@@ -31,150 +30,6 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-}
-
-struct Slot<V> {
-    value: V,
-    last_used: u64,
-}
-
-/// A bounded least-recently-used map. Simple by intent: recency is a
-/// monotonic tick per access and eviction scans for the minimum, which
-/// is O(len) — fine for the small capacities a landscape cache uses
-/// (tens of entries, each worth milliseconds-to-seconds of recompute).
-pub struct LruCache<K: Eq + Hash + Clone, V: Clone> {
-    capacity: usize,
-    map: HashMap<K, Slot<V>>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> std::fmt::Debug for LruCache<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LruCache")
-            .field("capacity", &self.capacity)
-            .field("len", &self.map.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
-    /// Creates a cache holding at most `capacity` entries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
-        LruCache {
-            capacity,
-            map: HashMap::new(),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
-    }
-
-    /// Looks up `key`, marking it most-recently-used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        let found = self.get_untracked(key);
-        if found.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        found
-    }
-
-    /// Like [`Self::get`] but without touching the hit/miss counters —
-    /// for callers that retry one logical lookup several times (e.g.
-    /// waiting out another thread's in-flight computation) and account
-    /// for it themselves.
-    pub fn get_untracked(&mut self, key: &K) -> Option<V> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.map.get_mut(key).map(|slot| {
-            slot.last_used = tick;
-            slot.value.clone()
-        })
-    }
-
-    /// Inserts `key -> value`, evicting the least-recently-used entry
-    /// when the cache is full and `key` is new (the evicted key is
-    /// returned so callers can attribute the eviction). An existing key
-    /// is overwritten (and refreshed) without eviction.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(slot) = self.map.get_mut(&key) {
-            slot.value = value;
-            slot.last_used = tick;
-            return None;
-        }
-        let mut evicted = None;
-        if self.map.len() >= self.capacity {
-            if let Some(oldest) = self
-                .map
-                // lint:allow(map-iteration): `last_used` ticks are
-                // unique and strictly increasing, so the minimum is a
-                // single well-defined entry whatever the hash order.
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(k, _)| k.clone())
-            {
-                self.map.remove(&oldest);
-                self.evictions += 1;
-                evicted = Some(oldest);
-            }
-        }
-        self.map.insert(
-            key,
-            Slot {
-                value,
-                last_used: tick,
-            },
-        );
-        evicted
-    }
-
-    /// `true` when `key` is resident (without touching recency).
-    pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Entries currently resident.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            len: self.map.len(),
-            capacity: self.capacity,
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-        }
-    }
-
-    /// Drops every entry (counters keep accumulating).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 /// Cache key for a ground-truth landscape: a fingerprint of the problem
@@ -476,33 +331,50 @@ fn shape_fingerprint(shape: &Shape) -> u128 {
 /// A thread-safe bounded LRU of ground-truth landscapes, shared by
 /// every executor of a [`crate::scheduler::BatchRuntime`].
 ///
-/// Values are `Arc<ShapedLandscape>`, so a hit costs one reference bump and
-/// concurrent jobs read the same buffer. Misses are deduplicated
-/// in-flight: when several executors request the same key at once (the
-/// common shape of a batch sweeping sampling seeds over one instance),
-/// exactly one computes while the rest wait for its result — repeat
-/// sampling requests never duplicate the expensive grid evaluation.
+/// Values are `Arc<ShapedLandscape>`, so a hit costs one reference bump
+/// and concurrent jobs read the same buffer. One mutex guards the
+/// resident entries with their recency ticks, the keys in flight and the
+/// counters. Under it a lookup does one of three things: it *hits* a
+/// resident entry (refreshing its recency), it *waits* on the condvar
+/// while another caller holds the key's claim, or it *claims* the key.
+/// The claim holder produces outside the lock, then inserts its value
+/// (evicting the least recently used entry, an O(len) scan over tens of
+/// entries), releases the claim and wakes the waiters. So a batch
+/// sweeping sampling seeds over one instance evaluates its grid once.
 ///
-/// Panic-hardened: the internal mutexes guard plain map/set state that
-/// every lock/unlock leaves valid, so a worker that panicked while
-/// holding one (its own job is already lost) poisons nothing for the
-/// rest of the batch — poisoned guards are recovered
-/// (`PoisonError::into_inner`) instead of cascading the panic into
-/// every later lookup.
+/// Panic-hardened: the mutex guards plain map/set state that every
+/// lock/unlock leaves valid, so a worker that panicked while holding it
+/// (its own job is already lost) poisons nothing for the rest of the
+/// batch — poisoned guards are recovered (`PoisonError::into_inner`)
+/// instead of cascading the panic into every later lookup, and a
+/// producer that unwinds still releases its claim.
 pub struct LandscapeCache {
-    inner: Mutex<LruCache<LandscapeKey, Arc<ShapedLandscape>>>,
-    /// Keys currently being computed by some thread.
-    pending: Mutex<HashSet<LandscapeKey>>,
-    /// Signaled whenever a pending computation finishes (or unwinds).
-    pending_cv: Condvar,
-    /// One hit or miss per [`Self::get_or_compute`] call, counted here
-    /// rather than in the LRU so a waiter's retries are not
-    /// double-counted: a call is a miss iff it ran the producer.
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Optional disk tier probed on in-memory misses; fresh landscapes
-    /// are written behind ([`crate::store::LandscapeStore`]).
+    state: Mutex<CacheState>,
+    /// Signaled whenever a claim is released, with or without a value.
+    released: Condvar,
+    /// Optional disk tier probed by the claim holder before it produces;
+    /// fresh landscapes are written behind ([`crate::store::LandscapeStore`]).
     store: Option<Arc<crate::store::LandscapeStore>>,
+}
+
+/// Everything [`LandscapeCache`]'s one mutex guards.
+struct CacheState {
+    entries: HashMap<LandscapeKey, Entry>,
+    /// Keys claimed by a caller that is producing them.
+    pending: HashSet<LandscapeKey>,
+    /// Recency clock: bumped by every hit and insert.
+    tick: u64,
+    capacity: usize,
+    /// One hit or miss per [`LandscapeCache::get_or_compute`] call, however
+    /// many times a waiter looks: a call is a miss iff it took the claim.
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+struct Entry {
+    value: Arc<ShapedLandscape>,
+    last_used: u64,
 }
 
 impl std::fmt::Debug for LandscapeCache {
@@ -518,17 +390,45 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Removes the claim on unwind too, so a panicking producer does not
-/// strand its waiters.
-struct PendingClaim<'a> {
+/// A claim on a key being produced. Dropping it inserts `value`, if the
+/// holder set one, and releases the claim — on unwind too, so a
+/// panicking producer does not strand its waiters.
+struct Claim<'a> {
     cache: &'a LandscapeCache,
     key: LandscapeKey,
+    value: Option<Arc<ShapedLandscape>>,
 }
 
-impl Drop for PendingClaim<'_> {
+impl Drop for Claim<'_> {
     fn drop(&mut self) {
-        lock(&self.cache.pending).remove(&self.key);
-        self.cache.pending_cv.notify_all();
+        let mut state = lock(&self.cache.state);
+        if let Some(value) = self.value.take() {
+            // Only a claim holder inserts, and only after a miss under
+            // this lock, so `key` is never resident here.
+            if state.entries.len() >= state.capacity {
+                if let Some(oldest) = state
+                    .entries
+                    // lint:allow(map-iteration): `last_used` ticks are
+                    // unique and strictly increasing, so the minimum is a
+                    // single well-defined entry whatever the hash order.
+                    .iter()
+                    .min_by_key(|(_, entry)| entry.last_used)
+                    .map(|(k, _)| *k)
+                {
+                    state.entries.remove(&oldest);
+                    state.evictions += 1;
+                    // Attribute the eviction to the class of the entry
+                    // that was displaced, not the one being inserted.
+                    cache_metrics().evictions[oldest.class.index()].inc();
+                }
+            }
+            state.tick += 1;
+            let last_used = state.tick;
+            state.entries.insert(self.key, Entry { value, last_used });
+        }
+        state.pending.remove(&self.key);
+        drop(state);
+        self.cache.released.notify_all();
     }
 }
 
@@ -552,12 +452,18 @@ impl LandscapeCache {
     ///
     /// Panics if `capacity == 0`.
     pub fn with_store(capacity: usize, store: Option<Arc<crate::store::LandscapeStore>>) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
         LandscapeCache {
-            inner: Mutex::new(LruCache::new(capacity)),
-            pending: Mutex::new(HashSet::new()),
-            pending_cv: Condvar::new(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            state: Mutex::new(CacheState {
+                entries: HashMap::new(),
+                pending: HashSet::new(),
+                tick: 0,
+                capacity,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
+            released: Condvar::new(),
             store,
         }
     }
@@ -577,90 +483,79 @@ impl LandscapeCache {
     ) -> (Arc<ShapedLandscape>, bool) {
         let metrics = cache_metrics();
         let class = key.class.index();
+        let mut state = lock(&self.state);
         let mut waited = false;
         loop {
-            if let Some(hit) = lock(&self.inner).get_untracked(&key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+            state.tick += 1;
+            let tick = state.tick;
+            if let Some(entry) = state.entries.get_mut(&key) {
+                entry.last_used = tick;
+                let hit = Arc::clone(&entry.value);
+                state.hits += 1;
                 metrics.hits[class].inc();
                 return (hit, true);
             }
-            {
-                let mut pending = lock(&self.pending);
-                // Re-check the cache under the pending lock: a producer
-                // inserts its value *before* releasing its claim (which
-                // needs this lock), so if the key is neither cached nor
-                // pending here, no producer exists and we safely become
-                // one. Without this, a producer finishing between our
-                // probe and this point would let us recompute the value.
-                if let Some(hit) = lock(&self.inner).get_untracked(&key) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    metrics.hits[class].inc();
-                    return (hit, true);
-                }
-                if pending.contains(&key) {
-                    // Another thread is computing this key: wait for it
-                    // and re-check the cache (on the rare eviction before
-                    // we reread, we loop around and become the producer).
-                    if !waited {
-                        // One logical dedup event per call, however many
-                        // wakeups the wait takes.
-                        metrics.dedup_waits[class].inc();
-                        waited = true;
-                    }
-                    let _g = self
-                        .pending_cv
-                        .wait(pending)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    continue;
-                }
-                pending.insert(key);
+            if !state.pending.contains(&key) {
+                break;
             }
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            metrics.misses[class].inc();
-            let claim = PendingClaim { cache: self, key };
-            // Disk tier: only the claim winner probes, so a batch of
-            // waiters costs one read. A disk hit is promoted into the
-            // LRU and reported as a hit — the producer never ran.
-            if let Some(from_disk) = self.store.as_ref().and_then(|s| s.load(&key)) {
-                let value = Arc::new(from_disk);
-                if let Some(evicted) = lock(&self.inner).insert(key, Arc::clone(&value)) {
-                    metrics.evictions[evicted.class.index()].inc();
-                }
-                drop(claim);
-                return (value, true);
+            // Another caller holds the claim: wait for its release and
+            // look again (on the rare eviction before we look, the key
+            // is neither resident nor pending and we take the claim).
+            if !waited {
+                // One logical dedup event per call, however many
+                // wakeups the wait takes.
+                metrics.dedup_waits[class].inc();
+                waited = true;
             }
-            // Compute outside the locks: landscape generation is the
-            // heavy stage and runs data-parallel on the worker pool;
-            // holding a cache lock would serialize unrelated jobs.
-            let fresh = Arc::new(produce());
-            if let Some(store) = &self.store {
-                // Write-behind: enqueue and move on, the store's writer
-                // thread does the disk work.
-                store.save(&key, &fresh);
-            }
-            if let Some(evicted) = lock(&self.inner).insert(key, Arc::clone(&fresh)) {
-                // Attribute the eviction to the class of the entry that
-                // was displaced, not the one being inserted.
-                metrics.evictions[evicted.class.index()].inc();
-            }
-            drop(claim);
-            return (fresh, false);
+            state = self
+                .released
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        state.pending.insert(key);
+        state.misses += 1;
+        drop(state);
+        metrics.misses[class].inc();
+        let mut claim = Claim {
+            cache: self,
+            key,
+            value: None,
+        };
+        // Disk tier: only the claim holder probes, so a batch of waiters
+        // costs one read. A disk hit is promoted into memory and reported
+        // as a hit — the producer never ran.
+        let (value, hit) = match self.store.as_ref().and_then(|s| s.load(&key)) {
+            Some(from_disk) => (Arc::new(from_disk), true),
+            None => {
+                // Produce outside the lock: landscape generation is the
+                // heavy stage and runs data-parallel on the worker pool;
+                // holding the cache lock would serialize unrelated jobs.
+                let fresh = Arc::new(produce());
+                if let Some(store) = &self.store {
+                    // Write-behind: enqueue and move on, the store's
+                    // writer thread does the disk work.
+                    store.save(&key, &fresh);
+                }
+                (fresh, false)
+            }
+        };
+        claim.value = Some(Arc::clone(&value));
+        drop(claim);
+        (value, hit)
     }
 
     /// Counter snapshot: hits/misses are per [`Self::get_or_compute`]
-    /// call (a call is a miss iff it ran the producer); len, capacity
-    /// and evictions come from the underlying LRU.
+    /// call (a call is a miss iff it ran the producer or read the disk
+    /// tier).
     pub fn stats(&self) -> CacheStats {
-        let mut stats = lock(&self.inner).stats();
-        stats.hits = self.hits.load(Ordering::Relaxed);
-        stats.misses = self.misses.load(Ordering::Relaxed);
-        stats
-    }
-
-    /// Drops every cached landscape.
-    pub fn clear(&self) {
-        lock(&self.inner).clear();
+        let state = lock(&self.state);
+        CacheStats {
+            len: state.entries.len(),
+            capacity: state.capacity,
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+        }
     }
 }
 
@@ -669,69 +564,99 @@ mod tests {
     use super::*;
     use oscar_problems::ising::IsingProblem;
 
-    #[test]
-    fn hit_returns_inserted_value() {
-        let mut lru: LruCache<u32, String> = LruCache::new(4);
-        lru.insert(1, "one".into());
-        lru.insert(2, "two".into());
-        assert_eq!(lru.get(&1).as_deref(), Some("one"));
-        assert_eq!(lru.get(&3), None);
-        let s = lru.stats();
-        assert_eq!((s.hits, s.misses, s.len), (1, 1, 2));
-    }
-
-    #[test]
-    fn eviction_removes_least_recently_used() {
-        let mut lru: LruCache<u32, u32> = LruCache::new(3);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        lru.insert(3, 30);
-        // Touch 1 and 3 so 2 is the LRU entry.
-        assert!(lru.get(&1).is_some());
-        assert!(lru.get(&3).is_some());
-        lru.insert(4, 40);
-        assert!(!lru.contains(&2), "LRU entry must be evicted");
-        assert!(lru.contains(&1) && lru.contains(&3) && lru.contains(&4));
-        assert_eq!(lru.stats().evictions, 1);
-        assert_eq!(lru.len(), 3);
-    }
-
-    #[test]
-    fn reinsert_refreshes_without_eviction() {
-        let mut lru: LruCache<u32, u32> = LruCache::new(2);
-        lru.insert(1, 10);
-        lru.insert(2, 20);
-        lru.insert(1, 11); // overwrite, no eviction
-        assert_eq!(lru.stats().evictions, 0);
-        assert_eq!(lru.get(&1), Some(11));
-        // 2 is now LRU (1 was refreshed by overwrite + get).
-        lru.insert(3, 30);
-        assert!(!lru.contains(&2));
-    }
-
-    #[test]
-    fn capacity_one_always_holds_newest() {
-        let mut lru: LruCache<u32, u32> = LruCache::new(1);
-        for i in 0..10 {
-            lru.insert(i, i);
-            assert_eq!(lru.get(&i), Some(i));
-        }
-        assert_eq!(lru.len(), 1);
-        assert_eq!(lru.stats().evictions, 9);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn rejects_zero_capacity() {
-        let _: LruCache<u8, u8> = LruCache::new(0);
-    }
-
     fn ising(problem: IsingProblem) -> ProblemInstance {
         ProblemInstance::ising(problem, 1)
     }
 
     fn grid_shape(nb: usize, ng: usize) -> Shape {
         Shape::Grid2d(oscar_core::grid::Grid2d::small_p1(nb, ng))
+    }
+
+    /// Distinct keys of one noisy source, told apart by their seed.
+    fn seeded_key(seed: u64) -> LandscapeKey {
+        use oscar_executor::device::DeviceSpec;
+        let source = LandscapeSource::noisy(DeviceSpec::by_name("noisy sim").unwrap());
+        LandscapeKey::new(
+            &ising(IsingProblem::mesh(2, 2)),
+            &grid_shape(2, 2),
+            &source,
+            seed,
+        )
+    }
+
+    /// Looks `key` up, producing a tiny landscape on a miss; `true` on a
+    /// hit.
+    fn look(cache: &LandscapeCache, key: LandscapeKey) -> bool {
+        cache
+            .get_or_compute(key, || {
+                ShapedLandscape::from_values(&grid_shape(2, 2), vec![0.0; 4])
+            })
+            .1
+    }
+
+    #[test]
+    fn hit_refreshes_recency_so_the_least_recently_looked_up_key_is_evicted() {
+        let cache = LandscapeCache::new(3);
+        for seed in 1..=3 {
+            assert!(!look(&cache, seeded_key(seed)));
+        }
+        // Look 1 and 3 up so 2 is the least recently used entry.
+        assert!(look(&cache, seeded_key(1)));
+        assert!(look(&cache, seeded_key(3)));
+        assert!(!look(&cache, seeded_key(4)));
+        for seed in [1, 3, 4] {
+            assert!(look(&cache, seeded_key(seed)), "seed {seed} must stay");
+        }
+        let s = cache.stats();
+        assert_eq!(
+            (s.len, s.capacity, s.hits, s.misses, s.evictions),
+            (3, 3, 5, 4, 1)
+        );
+        assert!(!look(&cache, seeded_key(2)), "seed 2 must be evicted");
+    }
+
+    #[test]
+    fn capacity_one_always_holds_newest() {
+        let cache = LandscapeCache::new(1);
+        for seed in 0..10 {
+            assert!(!look(&cache, seeded_key(seed)));
+            assert!(look(&cache, seeded_key(seed)));
+        }
+        let s = cache.stats();
+        assert_eq!((s.len, s.hits, s.misses, s.evictions), (1, 10, 10, 9));
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity must be positive")]
+    fn rejects_zero_capacity() {
+        let _ = LandscapeCache::new(0);
+    }
+
+    #[test]
+    fn evictions_are_charged_to_the_displaced_entrys_class() {
+        use oscar_executor::device::DeviceSpec;
+        let evictions = |class: KeyClass| cache_metrics().evictions[class.index()].get();
+        let before = KeyClass::ALL.map(evictions);
+        let problem = ising(IsingProblem::mesh(2, 2));
+        let shape = grid_shape(2, 2);
+        let source = LandscapeSource::noisy(DeviceSpec::by_name("noisy sim").unwrap());
+        let cache = LandscapeCache::new(1);
+        assert!(!look(
+            &cache,
+            LandscapeKey::zne_factor(&problem, &shape, &source, 0, 3.0)
+        ));
+        assert!(!look(
+            &cache,
+            LandscapeKey::mitigated(&problem, &shape, &source, 0, 1)
+        ));
+        assert_eq!(cache.stats().evictions, 1);
+        // The displaced ZNE-factor entry pays, not the mitigated request.
+        // No other test in this crate evicts these two classes.
+        let after = KeyClass::ALL.map(evictions);
+        let zne = KeyClass::ZneFactor.index();
+        let mitigated = KeyClass::Mitigated.index();
+        assert_eq!(after[zne] - before[zne], 1);
+        assert_eq!(after[mitigated], before[mitigated]);
     }
 
     #[test]
@@ -859,19 +784,14 @@ mod tests {
         let problem = IsingProblem::random_3_regular(4, &mut rng);
         let grid = oscar_core::grid::Grid2d::small_p1(5, 5);
         let cache = LandscapeCache::new(2);
-        // Poison both internal mutexes the way a dying worker would:
-        // panic while holding the guard.
-        for _ in 0..2 {
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _g = lock(&cache.inner);
-                panic!("worker died holding the LRU lock");
-            }));
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                let _g = cache.pending.lock().unwrap_or_else(PoisonError::into_inner);
-                panic!("worker died holding the pending lock");
-            }));
-        }
-        // Every entry point must still work: compute, hit, stats, clear.
+        // Poison the mutex the way a dying worker would: panic while
+        // holding the guard.
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _g = lock(&cache.state);
+            panic!("worker died holding the cache lock");
+        }));
+        assert!(cache.state.is_poisoned());
+        // Every entry point must still work: compute, hit, stats.
         let key = LandscapeKey::exact(&ising(problem.clone()), &Shape::Grid2d(grid));
         let (l, hit) = cache.get_or_compute(key, || {
             oscar_core::landscape::Landscape::from_qaoa(grid, &problem.qaoa_evaluator()).into()
@@ -881,8 +801,6 @@ mod tests {
         let (_, hit2) = cache.get_or_compute(key, || unreachable!("must be cached"));
         assert!(hit2, "cache must still serve hits after poisoning");
         assert_eq!(cache.stats().len, 1);
-        cache.clear();
-        assert_eq!(cache.stats().len, 0);
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub mod scheduler;
 pub mod source;
 pub mod store;
 
-pub use cache::{CacheStats, KeyClass, LandscapeCache, LandscapeKey, LruCache};
+pub use cache::{CacheStats, KeyClass, LandscapeCache, LandscapeKey};
 pub use descent::Descent;
 pub use job::{default_vqe_shape, run_job, JobResult, JobSpec};
 pub use mitigation::{mitigated_landscape, Mitigation};

@@ -567,12 +567,14 @@ fn eager_reconstruction_trades_little_accuracy() {
 #[test]
 fn p2_reshaped_reconstruction_works() {
     // Figure 4(c): reshape the 4-D p=2 landscape to 2-D and reconstruct.
-    use oscar::core::reshape::generate_p2_landscape;
     let p = problem(8, 15);
     let eval = p.qaoa_evaluator();
-    let grid4 = Grid4d::small_p2(8, 10);
-    let values = generate_p2_landscape(&grid4, |betas, gammas| eval.expectation(betas, gammas));
-    let (rows, cols) = grid4.reshaped_dims();
+    let (nb, ng) = (8, 10);
+    let values = NdLandscape::generate(Shape::qaoa(2, nb, ng).to_tensor(), |x| {
+        eval.expectation(&x[..2], &x[2..])
+    })
+    .into_values();
+    let (rows, cols) = (nb * nb, ng * ng);
 
     let mut rng = StdRng::seed_from_u64(16);
     let pattern = SamplePattern::random(rows, cols, 0.2, &mut rng);
